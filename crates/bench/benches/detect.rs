@@ -18,7 +18,7 @@ use owl::json::Json;
 use owl_bench::harness::metric;
 use owl_ir::analysis::ElisionMap;
 use owl_ir::{FuncId, InstRef, ModuleBuilder, Module, Type};
-use owl_race::{explore, ExplorerConfig, HbBackend, HbConfig, HbDetector, StreamConfig};
+use owl_race::{explore, ExplorerConfig, HbBackend, HbConfig, HbDetector};
 use owl_vm::{ProgramInput, RandomScheduler, RunConfig, TraceEvent, TraceSink, VecSink, Vm};
 use std::collections::HashSet;
 use std::hint::black_box;
@@ -324,60 +324,6 @@ fn bench_capture_handoff(c: &mut Criterion) {
     let owned = mean_secs(false);
     let cloned = mean_secs(true);
     metric("owned_capture_speedup", Json::Float(cloned / owned));
-}
-
-/// Streaming under a hard trace-memory budget: the explorer spilling
-/// cold segments to disk and replaying them, against the unbounded
-/// in-memory window. Reports are asserted identical; the metrics
-/// quantify the spill overhead.
-fn bench_bounded_stream(c: &mut Criterion) {
-    let p = owl_corpus::program("MySQL").expect("corpus program");
-    let base_cfg = ExplorerConfig {
-        runs_per_input: 8,
-        ..ExplorerConfig::default()
-    };
-    let spill_dir = std::env::temp_dir().join(format!("owl-bench-spill-{}", std::process::id()));
-    let bounded_cfg = ExplorerConfig {
-        stream: StreamConfig {
-            max_trace_mem: Some(16 * 1024),
-            spill_dir: Some(spill_dir.clone()),
-            ..StreamConfig::default()
-        },
-        ..base_cfg.clone()
-    };
-
-    let unbounded = explore(&p.module, p.entry, &p.workloads, &base_cfg);
-    let bounded = explore(&p.module, p.entry, &p.workloads, &bounded_cfg);
-    assert_eq!(
-        bounded.reports, unbounded.reports,
-        "spilling changed the report stream"
-    );
-    assert!(bounded.trace_spill_segments > 0, "budget too high to spill");
-    metric("spill_segments", Json::UInt(bounded.trace_spill_segments));
-    metric("spilled_bytes", Json::UInt(bounded.trace_spilled_bytes));
-
-    let mut group = c.benchmark_group("stream");
-    group.bench_function("explore_unbounded", |b| {
-        b.iter(|| explore(&p.module, p.entry, &p.workloads, &base_cfg))
-    });
-    group.bench_function("explore_spill_16k", |b| {
-        b.iter(|| explore(&p.module, p.entry, &p.workloads, &bounded_cfg))
-    });
-    group.finish();
-
-    let mean = |cfg: &ExplorerConfig| {
-        let reps = 5u32;
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            black_box(explore(&p.module, p.entry, &p.workloads, cfg));
-        }
-        t0.elapsed().as_secs_f64() / f64::from(reps)
-    };
-    metric(
-        "spill_overhead_ratio",
-        Json::Float(mean(&bounded_cfg) / mean(&base_cfg)),
-    );
-    let _ = std::fs::remove_dir_all(&spill_dir);
 }
 
 fn bench_explore_scaling(c: &mut Criterion) {
@@ -769,7 +715,6 @@ criterion_group!(
     benches,
     bench_detector_replay,
     bench_capture_handoff,
-    bench_bounded_stream,
     bench_explore_scaling,
     bench_fork_prefix,
     bench_seed_retirement

@@ -68,7 +68,7 @@ fn usage() -> ExitCode {
          detector options (run/hints/audit/campaign):\n  \
          --explore-workers <n>     threads exploring schedules in the detection\n                            stage (default 1; reports are identical for any\n                            count and excluded from the campaign fingerprint)\n  \
          --hb-backend <b>          race-detection backend, one of:\n{backends}  \
-         --max-trace-mem <n[K|M|G]>\n                            bound the detector's in-flight trace window;\n                            cold segments spill to disk and are replayed\n                            (reports are identical at any budget; without a\n                            spill dir over-budget units abort with a typed\n                            memory-budget verdict)\n  \
+         --max-trace-mem <n[K|M|G]>\n                            bound the trace a predictive backend (syncp,\n                            syncrev) buffers per detection unit; a unit\n                            over budget aborts with a typed memory-budget\n                            verdict (epoch and reference buffer no trace,\n                            so their reports are identical at any budget)\n  \
          --no-elide                disable the static check-elision pre-pass\n                            (reports are identical either way; elision only\n                            skips shadow-memory work at proved-safe sites)\n  \
          --no-fork                 disable prefix-sharing snapshot/fork in the\n                            detection stage (reports are identical either\n                            way and a journal resumes across the switch;\n                            forking only avoids re-executing each input's\n                            single-threaded startup prefix per seed)\n  \
          --elide-report            print the pre-pass per-site classification\n                            for <program> and exit\n\
@@ -208,11 +208,6 @@ fn config(args: &[String]) -> Result<OwlConfig, String> {
         let bytes =
             parse_mem_size(raw).map_err(|msg| format!("--max-trace-mem: {msg}"))?;
         cfg.detect.stream.max_trace_mem = Some(bytes);
-        // Default spill destination for one-shot commands; campaign
-        // and serve redirect this into their own directory.
-        cfg.detect.stream.spill_dir = Some(
-            std::env::temp_dir().join(format!("owl-trace-spill-{}", std::process::id())),
-        );
     }
     if args.iter().any(|a| a == "--no-elide") {
         cfg.elide = false;
@@ -299,12 +294,18 @@ fn main() -> ExitCode {
             } else {
                 owl.run(p.name, &p.workloads, &p.exploit_inputs)
             };
+            let json = cmd == "run" && args.iter().any(|a| a == "--json");
             if let Some(err) = &result.error {
                 eprintln!("pipeline failed: {err}");
-                return ExitCode::FAILURE;
+                // `run --json` still prints its summary, so the health
+                // counters of a failed run (a memory-budget abort, say)
+                // stay machine-readable.
+                if !json {
+                    return ExitCode::FAILURE;
+                }
             }
             match cmd.as_str() {
-                "run" if args.iter().any(|a| a == "--json") => {
+                "run" if json => {
                     let summary = ProgramSummary::from_result(&result);
                     let out = Json::obj([
                         ("program", Json::str(result.program.clone())),
@@ -313,6 +314,10 @@ fn main() -> ExitCode {
                             Json::str(if atomicity { "atomicity" } else { "race" }),
                         ),
                         ("summary", encode_summary(&summary)),
+                        (
+                            "error",
+                            result.error.as_ref().map_or(Json::Null, encode_error),
+                        ),
                         ("health", encode_health(&result.health)),
                         (
                             "quarantined",
@@ -337,7 +342,11 @@ fn main() -> ExitCode {
                         ),
                     ]);
                     println!("{}", out.to_json_string());
-                    ExitCode::SUCCESS
+                    if result.error.is_some() {
+                        ExitCode::FAILURE
+                    } else {
+                        ExitCode::SUCCESS
+                    }
                 }
                 "run" => {
                     let s = &result.stats;
@@ -386,16 +395,10 @@ fn main() -> ExitCode {
                             h.elision_events_elided
                         );
                     }
-                    if cfg.detect.stream.max_trace_mem.is_some() {
-                        println!(
-                            "trace memory: {} pressure event(s), {} segment(s) / {} byte(s) \
-                             spilled, {} shadow cell(s) GCed",
-                            h.mem_pressure_events,
-                            h.trace_spill_segments,
-                            h.trace_spilled_bytes,
-                            h.shadow_cells_gced
-                        );
-                    }
+                    println!(
+                        "trace memory: {} shadow cell(s) GCed, {} unit(s) over budget",
+                        h.shadow_cells_gced, h.units_aborted_mem_budget
+                    );
                     if cfg.detect.hb_backend.is_predictive() {
                         println!(
                             "prediction: {} candidate(s), {} witnessed ({} by sync reversal), \
@@ -496,17 +499,13 @@ fn main() -> ExitCode {
             if dir.starts_with("--") {
                 return usage();
             }
-            let mut cfg = match config(&args) {
+            let cfg = match config(&args) {
                 Ok(cfg) => cfg,
                 Err(msg) => {
                     eprintln!("{msg}");
                     return ExitCode::from(2);
                 }
             };
-            if cfg.detect.stream.max_trace_mem.is_some() {
-                cfg.detect.stream.spill_dir =
-                    Some(std::path::Path::new(dir).join("trace-spill"));
-            }
             let mut ccfg = CampaignConfig::new(cfg);
             let campaign_flags = (|| -> Result<(), String> {
                 if let Some(n) = parse_flag::<u64>(&args, "--max-attempts")? {
@@ -624,17 +623,13 @@ fn main() -> ExitCode {
             if dir.starts_with("--") {
                 return usage();
             }
-            let mut owl = match config(&args) {
+            let owl = match config(&args) {
                 Ok(cfg) => cfg,
                 Err(msg) => {
                     eprintln!("{msg}");
                     return ExitCode::from(2);
                 }
             };
-            if owl.detect.stream.max_trace_mem.is_some() {
-                owl.detect.stream.spill_dir =
-                    Some(std::path::Path::new(dir).join("trace-spill"));
-            }
             let mut scfg = ServeConfig::new(dir);
             scfg.owl = owl;
             // The daemon always records metrics: BENCH_serve.json and
@@ -811,12 +806,6 @@ fn main() -> ExitCode {
                             Json::UInt(s.elision_events_elided),
                         ),
                         ("elision_solve_us", Json::UInt(s.elision_solve_us)),
-                        ("trace_spilled_bytes", Json::UInt(s.trace_spilled_bytes)),
-                        (
-                            "trace_spill_segments",
-                            Json::UInt(s.trace_spill_segments),
-                        ),
-                        ("mem_pressure_events", Json::UInt(s.mem_pressure_events)),
                         ("shadow_cells_gced", Json::UInt(s.shadow_cells_gced)),
                         (
                             "units_aborted_mem_budget",

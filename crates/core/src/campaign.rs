@@ -133,12 +133,10 @@ pub fn campaign_fingerprint(owl: &OwlConfig, programs: &[String]) -> String {
     // [`CampaignConfig::workers`].
     let mut owl = owl.clone();
     owl.detect.workers = 1;
-    // Streaming plumbing is scheduling-only too: channel capacity,
-    // spill directory, segment naming, and fault-injection switches
-    // never change results (reports are byte-identical at any setting),
-    // so normalize them out as well. `max_trace_mem` stays — a unit
-    // that blows the hard budget is *aborted*, which is an observable
-    // result difference.
+    // `channel_capacity` and `tag_prefix` are ignored by the explorer,
+    // so normalize them out. `max_trace_mem` stays: a predictive unit
+    // whose trace buffer blows the budget is *aborted*, which is an
+    // observable result difference.
     let max_trace_mem = owl.detect.stream.max_trace_mem;
     owl.detect.stream = owl_race::StreamConfig {
         max_trace_mem,
@@ -780,9 +778,6 @@ pub(crate) fn record_attempt_metrics(
     m.counter("detector_suppressed", h.detector_suppressed);
     m.counter("detector_reports_dropped", h.detector_reports_dropped);
     m.counter("events_elided", h.elision_events_elided);
-    m.counter("trace_spilled_bytes", h.trace_spilled_bytes);
-    m.counter("trace_spill_segments", h.trace_spill_segments);
-    m.counter("mem_pressure_events", h.mem_pressure_events);
     m.counter("shadow_cells_gced", h.shadow_cells_gced);
     m.counter("units_aborted_mem_budget", h.units_aborted_mem_budget);
     m.counter("predict_candidates", h.predict_candidates);

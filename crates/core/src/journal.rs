@@ -54,8 +54,8 @@ use std::path::{Path, PathBuf};
 /// Panic payload of an armed journal kill point (see
 /// [`Journal::set_kill_after`]). Supervisors must re-raise it: it
 /// simulates the process dying, not a recoverable stage failure.
-/// Shared with the trace spill layer's kill switch, so it lives in
-/// [`owl_vm`] and is re-exported here.
+/// It lives in [`owl_vm`] beside [`owl_vm::FaultKind::JournalKill`]
+/// and is re-exported here.
 pub use owl_vm::JournalKilled;
 
 /// What `Journal::open` found and repaired.
@@ -717,12 +717,6 @@ pub fn encode_health(h: &crate::PipelineHealth) -> Json {
             "elision_events_elided",
             Json::UInt(h.elision_events_elided),
         ),
-        ("trace_spilled_bytes", Json::UInt(h.trace_spilled_bytes)),
-        (
-            "trace_spill_segments",
-            Json::UInt(h.trace_spill_segments),
-        ),
-        ("mem_pressure_events", Json::UInt(h.mem_pressure_events)),
         ("shadow_cells_gced", Json::UInt(h.shadow_cells_gced)),
         (
             "units_aborted_mem_budget",

@@ -265,22 +265,14 @@ pub struct PipelineHealth {
     /// Data-access events whose epoch shadow-memory work was skipped
     /// at elided sites, summed over both detection sweeps.
     pub elision_events_elided: u64,
-    /// Bytes of trace the streaming detection units spilled to segment
-    /// files under memory pressure, summed over both sweeps. (Live
-    /// runs only — not journaled.)
-    pub trace_spilled_bytes: u64,
-    /// Spill segments written (each verified by checksum on replay and
-    /// deleted). (Live runs only — not journaled.)
-    pub trace_spill_segments: u64,
-    /// Times a detection unit's in-flight window crossed the soft
-    /// memory limit. (Live runs only — not journaled.)
-    pub mem_pressure_events: u64,
     /// Shadow cells the detectors' thread-exit/free GC reclaimed.
     /// (Live runs only — not journaled.)
     pub shadow_cells_gced: u64,
     /// Detection units aborted with a typed memory-budget verdict
-    /// because their trace outgrew `--max-trace-mem` with nowhere to
-    /// spill. Reconstructed on resume from quarantine records.
+    /// because a predictive backend's buffered trace outgrew
+    /// `--max-trace-mem`. Always zero under the epoch and reference
+    /// backends, which buffer no trace. Reconstructed on resume from
+    /// quarantine records.
     pub units_aborted_mem_budget: u64,
     /// Conflicting access pairs the predictive detection backends
     /// submitted to the witness machinery, summed over both detection
@@ -370,9 +362,6 @@ impl PipelineHealth {
         self.elision_sites_lock_dominated += other.elision_sites_lock_dominated;
         self.elision_sites_read_only += other.elision_sites_read_only;
         self.elision_events_elided += other.elision_events_elided;
-        self.trace_spilled_bytes += other.trace_spilled_bytes;
-        self.trace_spill_segments += other.trace_spill_segments;
-        self.mem_pressure_events += other.mem_pressure_events;
         self.shadow_cells_gced += other.shadow_cells_gced;
         self.units_aborted_mem_budget += other.units_aborted_mem_budget;
         self.predict_candidates += other.predict_candidates;
@@ -544,7 +533,7 @@ impl<'m> Owl<'m> {
         };
 
         let (annotations, reports) =
-            match self.detect_and_annotate(name, workloads, &mut stats, &mut health) {
+            match self.detect_and_annotate(workloads, &mut stats, &mut health) {
                 Ok(out) => out,
                 Err(error) => {
                     return PipelineResult {
@@ -586,13 +575,12 @@ impl<'m> Owl<'m> {
     /// journaling its reports.
     ///
     /// Returns a [`PipelineError::VerifierAborted`] with
-    /// [`AbortCause::MemoryBudget`] when any exploration unit blew the
-    /// `--max-trace-mem` hard limit and had no spill directory to
-    /// degrade into — the unit's reports were discarded, so continuing
-    /// to the verifiers would verify an incomplete stream.
+    /// [`AbortCause::MemoryBudget`] when any exploration unit's
+    /// predictive trace buffer outgrew `--max-trace-mem` — the unit's
+    /// reports were discarded, so continuing to the verifiers would
+    /// verify an incomplete report set.
     fn detect_and_annotate(
         &self,
-        name: &str,
         workloads: &[ProgramInput],
         stats: &mut PipelineStats,
         health: &mut PipelineHealth,
@@ -605,7 +593,6 @@ impl<'m> Owl<'m> {
         // shadow work there. Purely an optimization: report streams
         // are byte-identical with it on or off.
         let mut detect_cfg = self.config.detect.clone();
-        detect_cfg.stream.tag_prefix = spill_tag(name);
         if self.config.elide {
             let pre = ElisionPrepass::run(self.module, self.entry);
             let es = pre.stats();
@@ -624,7 +611,7 @@ impl<'m> Owl<'m> {
         health.detect.attempts += raw.runs;
         health.detect.injected_faults += raw.injected_faults;
         health.detect.deadline_hits += raw.deadline_hit as u64;
-        absorb_stream_health(health, &raw);
+        absorb_sweep_health(health, &raw);
         if raw.units_aborted_mem_budget > 0 {
             stats.detect_time = t0.elapsed();
             return Err(PipelineError::VerifierAborted {
@@ -656,7 +643,7 @@ impl<'m> Owl<'m> {
         health.detect.attempts += reduced.runs;
         health.detect.injected_faults += reduced.injected_faults;
         health.detect.deadline_hits += reduced.deadline_hit as u64;
-        absorb_stream_health(health, &reduced);
+        absorb_sweep_health(health, &reduced);
         if reduced.units_aborted_mem_budget > 0 {
             stats.detect_time = t0.elapsed();
             return Err(PipelineError::VerifierAborted {
@@ -730,7 +717,7 @@ impl<'m> Owl<'m> {
         };
 
         let (annotations, reports) =
-            match self.detect_and_annotate(name, workloads, &mut stats, &mut health) {
+            match self.detect_and_annotate(workloads, &mut stats, &mut health) {
                 Ok(out) => out,
                 Err(error) => {
                     return Ok(PipelineResult {
@@ -1709,32 +1696,9 @@ impl ResumeIndex {
     }
 }
 
-/// Sanitizes a program name into a spill-segment filename prefix so two
-/// programs sharing one spill directory can never collide (and a name
-/// with path separators cannot escape it).
-fn spill_tag(name: &str) -> String {
-    let mut tag: String = name
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
-                c
-            } else {
-                '-'
-            }
-        })
-        .collect();
-    if tag.is_empty() {
-        tag.push_str("unit");
-    }
-    tag
-}
-
-/// Folds one exploration sweep's streaming/memory-governance counters
-/// into the pipeline health report.
-fn absorb_stream_health(health: &mut PipelineHealth, sweep: &owl_race::ExploreResult) {
-    health.trace_spilled_bytes += sweep.trace_spilled_bytes;
-    health.trace_spill_segments += sweep.trace_spill_segments;
-    health.mem_pressure_events += sweep.mem_pressure_events;
+/// Folds one exploration sweep's detector, memory-budget, prediction
+/// and fork counters into the pipeline health report.
+fn absorb_sweep_health(health: &mut PipelineHealth, sweep: &owl_race::ExploreResult) {
     health.shadow_cells_gced += sweep.shadow_cells_gced;
     health.units_aborted_mem_budget += sweep.units_aborted_mem_budget;
     health.predict_candidates += sweep.predict_candidates;

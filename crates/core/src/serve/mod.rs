@@ -254,9 +254,6 @@ impl ServeShared {
             elision_sites_read_only: h.elision_sites_read_only,
             elision_events_elided: h.elision_events_elided,
             elision_solve_us: self.elision_solve_us.load(Ordering::SeqCst),
-            trace_spilled_bytes: h.trace_spilled_bytes,
-            trace_spill_segments: h.trace_spill_segments,
-            mem_pressure_events: h.mem_pressure_events,
             shadow_cells_gced: h.shadow_cells_gced,
             units_aborted_mem_budget: h.units_aborted_mem_budget,
             predict_candidates: h.predict_candidates,

@@ -139,15 +139,6 @@ pub struct StatusReport {
     /// Microseconds spent solving the check-elision pre-pass, summed
     /// over executed requests.
     pub elision_solve_us: u64,
-    /// Trace bytes spilled to disk segments under `--max-trace-mem`,
-    /// summed over executed requests.
-    pub trace_spilled_bytes: u64,
-    /// Spill segments written (each spilled, replayed, and deleted),
-    /// summed over executed requests.
-    pub trace_spill_segments: u64,
-    /// Memory-pressure events (soft-limit crossings), summed over
-    /// executed requests.
-    pub mem_pressure_events: u64,
     /// Shadow cells (epoch cells / vector clocks) reclaimed by the
     /// detector's GC, summed over executed requests.
     pub shadow_cells_gced: u64,
@@ -360,12 +351,6 @@ pub fn encode_response(resp: &Response) -> String {
                 Json::UInt(s.elision_events_elided),
             ),
             ("elision_solve_us", Json::UInt(s.elision_solve_us)),
-            ("trace_spilled_bytes", Json::UInt(s.trace_spilled_bytes)),
-            (
-                "trace_spill_segments",
-                Json::UInt(s.trace_spill_segments),
-            ),
-            ("mem_pressure_events", Json::UInt(s.mem_pressure_events)),
             ("shadow_cells_gced", Json::UInt(s.shadow_cells_gced)),
             (
                 "units_aborted_mem_budget",
@@ -468,9 +453,6 @@ pub fn parse_response(line: &str) -> Result<Response, String> {
                 elision_sites_read_only: u("elision_sites_read_only"),
                 elision_events_elided: u("elision_events_elided"),
                 elision_solve_us: u("elision_solve_us"),
-                trace_spilled_bytes: u("trace_spilled_bytes"),
-                trace_spill_segments: u("trace_spill_segments"),
-                mem_pressure_events: u("mem_pressure_events"),
                 shadow_cells_gced: u("shadow_cells_gced"),
                 units_aborted_mem_budget: u("units_aborted_mem_budget"),
                 predict_candidates: u("predict_candidates"),

@@ -188,6 +188,9 @@ pub struct HbDetector {
     /// and after the prediction pass has run.
     predictor: Option<Box<Predictor>>,
     predict_stats: PredictStats,
+    /// Whether the predictor's buffer outgrew its trace budget, kept
+    /// once the predictor itself is gone.
+    trace_over_budget: bool,
 }
 
 impl HbDetector {
@@ -236,7 +239,28 @@ impl HbDetector {
             shadow_cells_gced: 0,
             predictor,
             predict_stats: PredictStats::default(),
+            trace_over_budget: false,
         }
+    }
+
+    /// Bounds the trace a predictive backend buffers for its post-run
+    /// pass to `bytes` (`--max-trace-mem`; `None` = unbounded), charged
+    /// per buffered event. Once over budget the predictor stops
+    /// recording, frees its buffer and predicts nothing; see
+    /// [`HbDetector::trace_over_budget`]. A no-op for the epoch and
+    /// reference backends, which buffer no trace.
+    pub fn with_trace_budget(mut self, bytes: Option<u64>) -> Self {
+        if let Some(p) = &mut self.predictor {
+            p.set_budget(bytes);
+        }
+        self
+    }
+
+    /// Whether the predictive trace buffer outgrew the budget set by
+    /// [`HbDetector::with_trace_budget`]. Such a detector saw its
+    /// prediction cut short, so its report set is incomplete.
+    pub fn trace_over_budget(&self) -> bool {
+        self.trace_over_budget || self.predictor.as_ref().is_some_and(|p| p.over_budget())
     }
 
     /// Detector with default configuration and no annotations.
@@ -287,6 +311,7 @@ impl HbDetector {
         let Some(mut p) = self.predictor.take() else {
             return;
         };
+        self.trace_over_budget = p.over_budget();
         let predicted = p.predict(&self.reported);
         self.predict_stats = p.stats;
         for r in predicted {

@@ -66,7 +66,6 @@ mod hb;
 mod lockset;
 mod predict;
 mod report;
-pub mod spill;
 mod vc;
 
 pub use atomicity::{AtomicityDetector, AtomicityPattern, AtomicityReport};
@@ -79,5 +78,4 @@ pub use explorer::{
 pub use hb::{global_name_for_addr, HbAnnotation, HbBackend, HbConfig, HbDetector};
 pub use lockset::LocksetDetector;
 pub use report::{Access, RaceReport};
-pub use spill::{approx_event_bytes, SegmentRecovery, SpillError, SpillKillSwitch};
 pub use vc::VectorClock;

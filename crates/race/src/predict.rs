@@ -134,12 +134,26 @@ enum SyncObj {
 /// Witness-search cost ceilings. All are *soundness-free* knobs:
 /// hitting one rejects (or skips) candidates, it never fabricates a
 /// witness. They exist so prediction stays linear-ish on traces with
-/// heavy properly-synchronized traffic.
+/// heavy properly-synchronized traffic. A trace longer than
+/// `MAX_TRACE_EVENTS` is not predicted on at all, so recording stops
+/// (and the buffer is freed) as soon as it crosses the cap.
 const MAX_TRACE_EVENTS: usize = 500_000;
 const MAX_CLOSURE: usize = 10_000;
 const MAX_ATTEMPTS_PER_PAIR: u32 = 4;
 const MAX_TOTAL_ATTEMPTS: u64 = 4_000;
 const MAX_LIST: usize = 512;
+
+/// Bytes charged against the trace budget per buffered event.
+const EVENT_BYTES: u64 = std::mem::size_of::<PEvent>() as u64;
+
+/// Why a predictor stopped recording before the trace ended.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Stopped {
+    /// The trace crossed `MAX_TRACE_EVENTS`.
+    OverCap,
+    /// The buffer outgrew the unit's trace budget.
+    OverBudget,
+}
 
 /// Records a unit's trace and predicts races from it once the run is
 /// over. Owned by `HbDetector` when a predictive backend is selected.
@@ -149,6 +163,10 @@ pub(crate) struct Predictor {
     events: Vec<PEvent>,
     /// Live heap regions (base → words), so `Free` records its extent.
     regions: HashMap<u64, u64>,
+    /// Byte budget on `events`, charged at [`EVENT_BYTES`] per event.
+    budget: Option<u64>,
+    /// Set once recording stopped; the trace is then never predicted.
+    stopped: Option<Stopped>,
     pub(crate) stats: PredictStats,
 }
 
@@ -158,13 +176,35 @@ impl Predictor {
             mode,
             events: Vec::new(),
             regions: HashMap::new(),
+            budget: None,
+            stopped: None,
             stats: PredictStats::default(),
         }
+    }
+
+    /// Bounds the buffered trace to `bytes` (`None` = unbounded).
+    pub(crate) fn set_budget(&mut self, bytes: Option<u64>) {
+        self.budget = bytes;
+    }
+
+    /// Whether the buffered trace outgrew the budget.
+    pub(crate) fn over_budget(&self) -> bool {
+        self.stopped == Some(Stopped::OverBudget)
+    }
+
+    /// Stops recording for good and frees the buffer.
+    fn stop(&mut self, why: Stopped) {
+        self.stopped = Some(why);
+        self.events = Vec::new();
+        self.regions = HashMap::new();
     }
 
     /// Records one VM event. Runs on the hot path, so it only clones
     /// the `Arc` stack and copies scalars.
     pub(crate) fn record(&mut self, ev: &TraceEvent) {
+        if self.stopped.is_some() {
+            return;
+        }
         let kind = match ev.kind {
             EventKind::Read {
                 addr,
@@ -208,6 +248,17 @@ impl Predictor {
             // Faults carry no ordering or memory information.
             EventKind::Fault { .. } => return,
         };
+        if self.events.len() == MAX_TRACE_EVENTS {
+            self.stop(Stopped::OverCap);
+            return;
+        }
+        if self
+            .budget
+            .is_some_and(|b| (self.events.len() as u64 + 1) * EVENT_BYTES > b)
+        {
+            self.stop(Stopped::OverBudget);
+            return;
+        }
         self.events.push(PEvent {
             tid: ev.tid,
             site: ev.site,
@@ -222,7 +273,7 @@ impl Predictor {
     /// Deterministic: candidates walk addresses in order, occurrences
     /// in trace order, and every scheduler decision is index-based.
     pub(crate) fn predict(&mut self, already: &HashSet<(InstRef, InstRef)>) -> Vec<PredictedRace> {
-        if self.events.len() > MAX_TRACE_EVENTS {
+        if self.stopped.is_some() {
             return Vec::new();
         }
         let idx = TraceIndex::build(&self.events);
@@ -994,5 +1045,95 @@ mod tests {
         let mut p = predictor_with(PredictMode::SyncPreserving, trace);
         assert!(p.predict(&HashSet::new()).is_empty());
         assert_eq!(p.stats.candidates, 0);
+    }
+
+    /// The VM event a recorded `PEvent` came from.
+    fn vm_event(e: &PEvent) -> TraceEvent {
+        let kind = match e.kind {
+            PKind::Read { addr, value, ty } => EventKind::Read {
+                addr,
+                value,
+                ty,
+                atomic: false,
+            },
+            PKind::Write { addr, value } => EventKind::Write {
+                addr,
+                value,
+                old: 0,
+                atomic: false,
+            },
+            PKind::Lock { addr } => EventKind::Lock { addr },
+            PKind::Unlock { addr } => EventKind::Unlock { addr },
+            PKind::Fork { child } => EventKind::Fork { child },
+            ref other => unreachable!("no test trace uses {other:?}"),
+        };
+        TraceEvent {
+            step: 0,
+            tid: e.tid,
+            site: e.site,
+            stack: e.stack.clone(),
+            kind,
+            no_shadow: e.elided,
+        }
+    }
+
+    fn recorded(mode: PredictMode, budget: Option<u64>, trace: &[PEvent]) -> Predictor {
+        let mut p = Predictor::new(mode);
+        p.set_budget(budget);
+        for e in trace {
+            p.record(&vm_event(e));
+        }
+        p
+    }
+
+    #[test]
+    fn trace_over_the_cap_is_freed_and_predicts_nothing() {
+        // The racy pattern first, then filler until the trace crosses
+        // the cap: recording stops at the crossing event and the
+        // buffer is freed, instead of growing with a trace that will
+        // never be predicted on.
+        let trace = syncp_trace();
+        let mut p = recorded(PredictMode::SyncPreserving, None, &trace);
+        let filler = vm_event(&ev(0, 0, 9, PKind::Lock { addr: L }));
+        while p.events.len() < MAX_TRACE_EVENTS {
+            p.record(&filler);
+        }
+        assert_eq!(
+            p.events.len(),
+            MAX_TRACE_EVENTS,
+            "a trace at the cap is kept"
+        );
+        p.record(&filler);
+        assert!(
+            p.events.is_empty() && p.events.capacity() == 0,
+            "buffer not freed"
+        );
+        p.record(&filler);
+        assert!(p.events.is_empty(), "recording resumed past the cap");
+        assert!(!p.over_budget(), "the cap is not the trace budget");
+        assert!(p.predict(&HashSet::new()).is_empty());
+        assert_eq!(p.stats, PredictStats::default());
+    }
+
+    #[test]
+    fn trace_budget_is_charged_per_buffered_event() {
+        let trace = syncp_trace();
+        let fits = trace.len() as u64 * EVENT_BYTES;
+        let mut p = recorded(PredictMode::SyncPreserving, Some(fits), &trace);
+        assert!(!p.over_budget());
+        assert_eq!(
+            p.predict(&HashSet::new()).len(),
+            1,
+            "a trace within budget is predicted"
+        );
+
+        let mut p = recorded(PredictMode::SyncPreserving, Some(fits - 1), &trace);
+        assert!(p.over_budget());
+        assert!(
+            p.events.is_empty() && p.events.capacity() == 0,
+            "buffer not freed"
+        );
+        assert!(p.predict(&HashSet::new()).is_empty());
+        assert_eq!(p.stats, PredictStats::default());
     }
 }

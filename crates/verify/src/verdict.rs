@@ -23,10 +23,10 @@ pub enum AbortCause {
     /// The verifier panicked and a supervisor caught it (the verdict
     /// is synthesized by the supervisor, not the verifier itself).
     Panicked,
-    /// The unit's in-flight trace outgrew the configured memory budget
-    /// (`--max-trace-mem`) and could not be spilled to disk. The
-    /// memory watchdog aborts the unit with this typed verdict instead
-    /// of letting it OOM; campaigns quarantine it and continue.
+    /// A predictive backend's buffered trace outgrew the configured
+    /// memory budget (`--max-trace-mem`). The unit stops recording and
+    /// aborts with this typed verdict instead of letting the buffer
+    /// grow without bound; campaigns quarantine it and continue.
     MemoryBudget,
 }
 

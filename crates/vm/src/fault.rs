@@ -45,13 +45,12 @@ pub enum FaultKind {
 }
 
 /// Panic payload of an armed durability kill point (the journal's
-/// `set_kill_after` and the trace spill layer's kill switch). It
-/// simulates the process dying right after an fsync — supervisors must
-/// re-raise it rather than retry, exactly as they would not survive a
-/// real `SIGKILL`. Defined here (rather than in the journal crate)
-/// because every layer that persists checksummed records — the
-/// campaign journal, the daemon's result store, the trace spill
-/// segments — shares the same simulated-crash protocol.
+/// `set_kill_after`). It simulates the process dying right after an
+/// fsync — supervisors must re-raise it rather than retry, exactly as
+/// they would not survive a real `SIGKILL`. Defined here, beside
+/// [`FaultKind::JournalKill`], and shared by every layer that persists
+/// checksummed records: the campaign journal and the daemon's result
+/// store.
 #[derive(Debug)]
 pub struct JournalKilled {
     /// Appends completed before the kill fired.

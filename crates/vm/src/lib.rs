@@ -54,7 +54,6 @@ mod fault;
 mod input;
 pub mod mem;
 mod sched;
-pub mod stream;
 mod violation;
 mod vm;
 
@@ -63,7 +62,6 @@ pub use breakpoint::{
 };
 pub use event::{CallStack, EventKind, NullSink, ThreadId, TraceEvent, TraceSink, VecSink};
 pub use fault::{FaultKind, FaultPlan, FaultRecord, JournalKilled};
-pub use stream::{event_channel, ChannelReceiver, ChannelSender};
 pub use input::ProgramInput;
 pub use mem::Memory;
 pub use sched::{PctScheduler, RandomScheduler, ReplayScheduler, RoundRobin, Scheduler};

@@ -120,6 +120,56 @@ fn max_trace_mem_accepts_suffixes_and_bounds_the_run() {
     assert!(out.contains("reports:"), "{out}");
 }
 
+/// The budget bounds the predictive backends' trace buffer: a `syncp`
+/// run whose units outgrow it fails with the typed memory-budget
+/// verdict, and `--json` still reports the aborted-unit count.
+#[test]
+fn max_trace_mem_aborts_predictive_units_typed() {
+    // SSDB's `--quick` units buffer 40–70 events each, so a 1K budget
+    // is over budget for most of them.
+    let out = cli()
+        .args([
+            "run",
+            "SSDB",
+            "--quick",
+            "--hb-backend",
+            "syncp",
+            "--max-trace-mem",
+            "1K",
+            "--json",
+        ])
+        .output()
+        .expect("spawn");
+    assert!(!out.status.success(), "an over-budget run must fail");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let doc = owl::json::parse(&stdout).expect("valid JSON");
+    let aborted = doc
+        .get("health")
+        .and_then(|h| h.get("units_aborted_mem_budget"))
+        .and_then(|j| j.as_u64());
+    assert!(aborted.is_some_and(|n| n > 0), "{stdout}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("memory budget exceeded"), "{err}");
+}
+
+/// The epoch backend buffers no trace, so a budget must not change a
+/// single line of its output. The stage-4 line carries a wall-clock
+/// time and a cache hit split that depends on thread timing, so it is
+/// left out of the comparison.
+#[test]
+fn max_trace_mem_leaves_epoch_output_identical() {
+    let stable = |out: String| -> String {
+        out.lines()
+            .filter(|l| !l.starts_with("stage 4:"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    let unbounded = stable(run_ok(&["run", "SSDB", "--quick"]));
+    let bounded = stable(run_ok(&["run", "SSDB", "--quick", "--max-trace-mem", "4K"]));
+    assert_eq!(bounded, unbounded);
+    assert!(bounded.contains("0 unit(s) over budget"), "{bounded}");
+}
+
 #[test]
 fn max_trace_mem_rejects_zero_garbage_and_overflow() {
     for (value, needle) in [

@@ -258,94 +258,6 @@ fn corrupted_checksum_recovers_and_is_relogged_in_health() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
-/// A hard kill landing *inside a spill-segment write* must behave like
-/// every other kill point: the segment is left with a torn,
-/// checksummed-looking tail that `recover_segment` truncates, the
-/// campaign resumes with the unit retried from scratch, and the final
-/// summary is byte-identical to the uninterrupted bounded-memory run.
-#[test]
-fn kill_mid_spill_leaves_torn_segment_and_resumes_byte_identically() {
-    quiet_intentional_panics();
-    for seed in seeds() {
-        let programs = mini_corpus();
-        let budget = 256u64;
-        let bounded = |spill_dir: &Path| {
-            let mut cfg = campaign_config(seed);
-            cfg.owl.detect.stream.max_trace_mem = Some(budget);
-            cfg.owl.detect.stream.spill_dir = Some(spill_dir.to_path_buf());
-            cfg
-        };
-
-        // Uninterrupted bounded-memory baseline.
-        let base = scratch_dir(&format!("spill-baseline-{seed}"));
-        let base_cfg = bounded(&base.join("trace-spill"));
-        let baseline = run_campaign(&base.join("journal.jsonl"), &programs, &base_cfg, false)
-            .expect("bounded baseline completes");
-        let expected = baseline.summary.render();
-
-        // Killed run: a one-shot switch fires mid-segment-write,
-        // leaving a torn half-record with no newline — what a real
-        // SIGKILL during write(2) leaves behind.
-        let dir = scratch_dir(&format!("spill-kill-{seed}"));
-        let spill_dir = dir.join("trace-spill");
-        let journal_path = dir.join("journal.jsonl");
-        let mut killed_cfg = bounded(&spill_dir);
-        let switch = owl::owl_race::SpillKillSwitch::new();
-        switch.arm(3);
-        killed_cfg.owl.detect.stream.spill_kill = Some(switch);
-        let payload = catch_unwind(AssertUnwindSafe(|| {
-            run_campaign(&journal_path, &programs, &killed_cfg, false)
-        }))
-        .expect_err("the armed spill kill must fire");
-        assert!(
-            payload.downcast_ref::<JournalKilled>().is_some(),
-            "seed {seed}: unexpected panic payload"
-        );
-
-        // The kill left a segment behind, and its tail is torn.
-        let segments: Vec<PathBuf> = std::fs::read_dir(&spill_dir)
-            .expect("spill dir exists after the kill")
-            .filter_map(|e| Some(e.ok()?.path()))
-            .filter(|p| p.extension().is_some_and(|x| x == "seg"))
-            .collect();
-        assert!(!segments.is_empty(), "seed {seed}: no segment survived");
-        let mut torn = 0;
-        for seg in &segments {
-            let r = owl_race::spill::recover_segment(seg).expect("recovery scans the segment");
-            if r.torn {
-                torn += 1;
-                assert!(r.discarded_bytes > 0, "torn tail has no bytes to discard");
-                // Truncation is in-place and idempotent: a second scan
-                // finds a clean segment with the same survivors.
-                let again = owl_race::spill::recover_segment(seg).unwrap();
-                assert!(!again.torn, "recovery must have truncated in place");
-                assert_eq!(again.valid_events, r.valid_events);
-            }
-        }
-        assert_eq!(torn, 1, "seed {seed}: exactly the in-flight segment is torn");
-
-        // Resume, disarmed, same spill directory: the leftover segment
-        // is recovered/overwritten, the killed unit retries, and the
-        // summary matches the uninterrupted run byte for byte.
-        let resume_cfg = bounded(&spill_dir);
-        let resumed = run_campaign(&journal_path, &programs, &resume_cfg, true)
-            .expect("resumed bounded campaign completes");
-        assert_eq!(
-            resumed.summary.render(),
-            expected,
-            "seed {seed}: resumed bounded-memory summary must be byte-identical"
-        );
-        // Clean completion leaves no segments behind.
-        let leftover = std::fs::read_dir(&spill_dir)
-            .map(|d| d.count())
-            .unwrap_or(0);
-        assert_eq!(leftover, 0, "seed {seed}: completed run leaked spill segments");
-
-        let _ = std::fs::remove_dir_all(base);
-        let _ = std::fs::remove_dir_all(dir);
-    }
-}
-
 #[test]
 fn retry_backoff_and_graceful_degradation() {
     quiet_intentional_panics();

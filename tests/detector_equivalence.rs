@@ -5,12 +5,12 @@
 //! (vector-clock) backend's results: the identical deduplicated report
 //! set, suppression counts, and cap-drop counts. Parallel exploration
 //! must likewise be indistinguishable from serial exploration at any
-//! worker count.
+//! worker count, and a trace budget (`--max-trace-mem`) must leave the
+//! backends that buffer no trace untouched.
 
 use owl_ir::InstRef;
 use owl_race::{explore, ExploreResult, ExplorerConfig, HbAnnotation, HbBackend, StreamConfig};
 use std::collections::HashSet;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 fn sweep(
@@ -127,153 +127,12 @@ fn elision_never_changes_report_streams() {
     );
 }
 
-fn scratch_dir(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("owl-eq-spill-{}-{tag}", std::process::id()))
-}
-
-fn sweep_streamed(
-    p: &owl_corpus::CorpusProgram,
-    backend: HbBackend,
-    workers: usize,
-    capacity: usize,
-    budget: Option<u64>,
-    spill_dir: Option<PathBuf>,
-) -> ExploreResult {
-    let cfg = ExplorerConfig {
-        runs_per_input: 4,
-        workers,
-        hb_backend: backend,
-        stream: StreamConfig {
-            channel_capacity: capacity,
-            max_trace_mem: budget,
-            spill_dir,
-            ..StreamConfig::default()
-        },
-        ..ExplorerConfig::default()
-    };
-    explore(&p.module, p.entry, &p.workloads, &cfg)
-}
-
-/// The streaming hand-off and the spill layer are only allowed to
-/// bound *memory* — never to change results. Across the corpus, every
-/// channel capacity (including the inline capacity-0 baseline), spill
-/// threshold, and worker count must produce byte-identical report
-/// streams.
-#[test]
-fn streaming_and_spill_never_change_report_streams() {
-    for p in owl_corpus::all_programs() {
-        // Capacity 0 is the materialized (inline, no channel) path.
-        let baseline = sweep_streamed(&p, HbBackend::Epoch, 1, 0, None, None);
-        for capacity in [1usize, 4, 1024] {
-            let s = sweep_streamed(&p, HbBackend::Epoch, 1, capacity, None, None);
-            assert_eq!(
-                s.reports, baseline.reports,
-                "{} (capacity={capacity}): streaming diverges from inline",
-                p.name
-            );
-            assert_eq!(s.suppressed, baseline.suppressed, "{}", p.name);
-            assert_eq!(s.reports_dropped, baseline.reports_dropped, "{}", p.name);
-        }
-        let dir = scratch_dir(p.name);
-        for workers in [1usize, 2, 4] {
-            let s = sweep_streamed(
-                &p,
-                HbBackend::Epoch,
-                workers,
-                4,
-                Some(512),
-                Some(dir.clone()),
-            );
-            assert_eq!(
-                s.reports, baseline.reports,
-                "{} (workers={workers}): spilling changed the report stream",
-                p.name
-            );
-            assert_eq!(
-                s.units_aborted_mem_budget, 0,
-                "{} (workers={workers}): spill path aborted despite a spill dir",
-                p.name
-            );
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-}
-
-/// A trace at least 10× the memory budget must complete under the
-/// bounded pipeline with byte-identical reports, and both backends
-/// must degrade identically (same reports *and* the same GC count —
-/// the epoch and reference collectors reclaim exactly the same cells).
-#[test]
-fn trace_ten_times_budget_completes_with_identical_reports() {
-    let p = owl_corpus::program("MySQL").expect("corpus program");
-    let budget = 256u64;
-    let baseline = sweep_streamed(&p, HbBackend::Epoch, 1, 0, None, None);
-
-    let dir = scratch_dir("tenx-epoch");
-    let epoch = sweep_streamed(&p, HbBackend::Epoch, 1, 4, Some(budget), Some(dir.clone()));
-    let _ = std::fs::remove_dir_all(&dir);
-    assert_eq!(epoch.reports, baseline.reports, "bounded epoch diverges");
-    assert_eq!(epoch.units_aborted_mem_budget, 0);
-    assert!(
-        epoch.trace_spilled_bytes >= 10 * budget,
-        "trace only spilled {} bytes against a {budget}-byte budget — \
-         not a 10x-over-budget workload",
-        epoch.trace_spilled_bytes
-    );
-    assert!(epoch.trace_spill_segments > 0);
-
-    let dir = scratch_dir("tenx-ref");
-    let reference =
-        sweep_streamed(&p, HbBackend::Reference, 1, 4, Some(budget), Some(dir.clone()));
-    let _ = std::fs::remove_dir_all(&dir);
-    assert_eq!(
-        reference.reports, epoch.reports,
-        "backends diverge under memory pressure"
-    );
-    assert_eq!(
-        reference.shadow_cells_gced, epoch.shadow_cells_gced,
-        "shadow GC reclaimed different cell counts across backends"
-    );
-    assert_eq!(reference.trace_spilled_bytes, epoch.trace_spilled_bytes);
-    assert_eq!(reference.trace_spill_segments, epoch.trace_spill_segments);
-}
-
-/// Over the hard limit with nowhere to spill, the unit must abort with
-/// the typed memory-budget verdict — a `PipelineResult` error the
-/// campaign can quarantine — never an OOM or a silent truncation.
-#[test]
-fn over_budget_unit_aborts_with_typed_memory_budget_error() {
-    let p = owl_corpus::program("MySQL").expect("corpus program");
-    let mut cfg = owl::OwlConfig::quick();
-    cfg.detect.stream.max_trace_mem = Some(64);
-    cfg.detect.stream.spill_dir = None;
-    let owl_pipeline = owl::Owl::new(&p.module, p.entry, cfg);
-    let result = owl_pipeline.run(p.name, &p.workloads, &p.exploit_inputs);
-    match &result.error {
-        Some(owl::PipelineError::VerifierAborted {
-            stage,
-            cause,
-            attempts,
-        }) => {
-            assert_eq!(*stage, owl::Stage::Detect);
-            assert_eq!(*cause, owl::owl_verify::AbortCause::MemoryBudget);
-            assert!(*attempts > 0, "abort carries no unit count");
-        }
-        other => panic!("expected a typed memory-budget abort, got {other:?}"),
-    }
-    assert!(result.findings.is_empty());
-    assert!(result.health.units_aborted_mem_budget > 0);
-    assert!(result.health.mem_pressure_events > 0);
-}
-
 fn sweep_forked(
     p: &owl_corpus::CorpusProgram,
     backend: HbBackend,
     fork: bool,
     workers: usize,
-    capacity: usize,
     budget: Option<u64>,
-    spill_dir: Option<PathBuf>,
 ) -> ExploreResult {
     let cfg = ExplorerConfig {
         runs_per_input: 4,
@@ -281,14 +140,77 @@ fn sweep_forked(
         hb_backend: backend,
         fork,
         stream: StreamConfig {
-            channel_capacity: capacity,
             max_trace_mem: budget,
-            spill_dir,
             ..StreamConfig::default()
         },
         ..ExplorerConfig::default()
     };
     explore(&p.module, p.entry, &p.workloads, &cfg)
+}
+
+/// The trace budget bounds only the predictive backends' trace buffer.
+/// The epoch and reference backends buffer no trace, so across the
+/// corpus, at every worker count and fork mode, a 64-byte budget must
+/// leave their whole results — report streams, outcomes and every
+/// counter — byte-identical to the unbounded run.
+#[test]
+fn trace_budget_never_changes_hb_report_streams() {
+    for p in owl_corpus::all_programs() {
+        for backend in [HbBackend::Epoch, HbBackend::Reference] {
+            for fork in [false, true] {
+                for workers in [1usize, 2, 4] {
+                    let unbounded = sweep_forked(&p, backend, fork, workers, None);
+                    let bounded = sweep_forked(&p, backend, fork, workers, Some(64));
+                    assert_eq!(
+                        format!("{bounded:?}"),
+                        format!("{unbounded:?}"),
+                        "{} ({backend:?}, fork={fork}, workers={workers}): \
+                         a trace budget changed the result",
+                        p.name
+                    );
+                    assert_eq!(bounded.units_aborted_mem_budget, 0, "{}", p.name);
+                }
+            }
+        }
+    }
+}
+
+/// A predictive backend whose trace buffer outgrows the budget must
+/// abort with the typed memory-budget verdict — a `PipelineResult`
+/// error the campaign can quarantine — never an OOM or a silent
+/// truncation, and the fork and scratch paths must abort the same
+/// units.
+#[test]
+fn over_budget_unit_aborts_with_typed_memory_budget_error() {
+    let p = owl_corpus::program("MySQL").expect("corpus program");
+    let aborted_units = |fork: bool| {
+        let mut cfg = owl::OwlConfig::quick();
+        cfg.detect.hb_backend = HbBackend::SyncPreserving;
+        cfg.detect.stream.max_trace_mem = Some(64);
+        cfg.detect.fork = fork;
+        let owl_pipeline = owl::Owl::new(&p.module, p.entry, cfg);
+        let result = owl_pipeline.run(p.name, &p.workloads, &p.exploit_inputs);
+        match &result.error {
+            Some(owl::PipelineError::VerifierAborted {
+                stage,
+                cause,
+                attempts,
+            }) => {
+                assert_eq!(*stage, owl::Stage::Detect);
+                assert_eq!(*cause, owl::owl_verify::AbortCause::MemoryBudget);
+                assert!(*attempts > 0, "abort carries no unit count");
+            }
+            other => panic!("fork={fork}: expected a typed memory-budget abort, got {other:?}"),
+        }
+        assert!(result.findings.is_empty());
+        assert!(result.health.units_aborted_mem_budget > 0);
+        result.health.units_aborted_mem_budget
+    };
+    assert_eq!(
+        aborted_units(true),
+        aborted_units(false),
+        "fork and scratch aborted different unit counts"
+    );
 }
 
 /// Asserts fork-on and fork-off produced byte-identical results:
@@ -305,18 +227,6 @@ fn assert_fork_equivalent(forked: &ExploreResult, scratch: &ExploreResult, ctx: 
     assert_eq!(forked.injected_faults, scratch.injected_faults, "{ctx}");
     assert_eq!(forked.events_elided, scratch.events_elided, "{ctx}");
     assert_eq!(forked.shadow_cells_gced, scratch.shadow_cells_gced, "{ctx}");
-    assert_eq!(
-        forked.trace_spilled_bytes, scratch.trace_spilled_bytes,
-        "{ctx}: spill bytes diverge"
-    );
-    assert_eq!(
-        forked.trace_spill_segments, scratch.trace_spill_segments,
-        "{ctx}"
-    );
-    assert_eq!(
-        forked.mem_pressure_events, scratch.mem_pressure_events,
-        "{ctx}"
-    );
     assert_eq!(
         forked.units_aborted_mem_budget, scratch.units_aborted_mem_budget,
         "{ctx}"
@@ -350,14 +260,15 @@ fn assert_fork_equivalent(forked: &ExploreResult, scratch: &ExploreResult, ctx: 
 
 /// Prefix-sharing fork mode is only allowed to *skip re-execution* —
 /// never to change results. Fork-on must match fork-off byte-for-byte
-/// across the corpus, under all four backends, at every worker count
-/// and channel capacity, and under a spill budget. The fork counters
-/// must also show the machinery actually engaged somewhere, or this
-/// test proves nothing.
+/// across the corpus, under all four backends, at every worker count,
+/// and under a trace budget that aborts predictive units. The fork
+/// counters must also show the machinery actually engaged somewhere,
+/// or this test proves nothing.
 #[test]
 fn fork_mode_never_changes_results() {
     let mut total_forked = 0u64;
     let mut total_prefix_saved = 0u64;
+    let mut total_aborted = 0u64;
     for p in owl_corpus::all_programs() {
         for backend in [
             HbBackend::Reference,
@@ -365,56 +276,28 @@ fn fork_mode_never_changes_results() {
             HbBackend::SyncPreserving,
             HbBackend::SyncReversal,
         ] {
-            let scratch = sweep_forked(&p, backend, false, 1, 1024, None, None);
+            let scratch = sweep_forked(&p, backend, false, 1, None);
             for workers in [1usize, 2, 4] {
-                for capacity in [0usize, 1, 1024] {
-                    let scratch_cap = sweep_forked(&p, backend, false, 1, capacity, None, None);
-                    let forked = sweep_forked(&p, backend, true, workers, capacity, None, None);
-                    let ctx =
-                        format!("{} ({backend:?}, workers={workers}, capacity={capacity})", p.name);
-                    assert_fork_equivalent(&forked, &scratch_cap, &ctx);
-                    assert_eq!(
-                        forked.reports, scratch.reports,
-                        "{ctx}: capacity changed reports"
-                    );
-                    total_forked += forked.units_forked;
-                    total_prefix_saved += forked.prefix_steps_saved;
-                }
+                let forked = sweep_forked(&p, backend, true, workers, None);
+                let ctx = format!("{} ({backend:?}, workers={workers})", p.name);
+                assert_fork_equivalent(&forked, &scratch, &ctx);
+                total_forked += forked.units_forked;
+                total_prefix_saved += forked.prefix_steps_saved;
             }
         }
-        // Under a spill budget the per-unit spill/pressure counters
-        // must still come out identical: the forked units inherit the
-        // shared prefix's window state and spill at the same event
-        // boundaries a scratch unit would.
-        let dir_scratch = scratch_dir(&format!("fork-off-{}", p.name));
-        let dir_forked = scratch_dir(&format!("fork-on-{}", p.name));
-        let scratch = sweep_forked(
-            &p,
-            HbBackend::Epoch,
-            false,
-            1,
-            4,
-            Some(512),
-            Some(dir_scratch.clone()),
-        );
+        // Under a budget the predictive units abort at the same event
+        // a scratch unit would: the forked units inherit the shared
+        // prefix detector's buffer and budget state.
+        let scratch = sweep_forked(&p, HbBackend::SyncPreserving, false, 1, Some(4096));
         for workers in [1usize, 2, 4] {
-            let forked = sweep_forked(
-                &p,
-                HbBackend::Epoch,
-                true,
-                workers,
-                4,
-                Some(512),
-                Some(dir_forked.clone()),
-            );
+            let forked = sweep_forked(&p, HbBackend::SyncPreserving, true, workers, Some(4096));
             assert_fork_equivalent(
                 &forked,
                 &scratch,
                 &format!("{} (budgeted, workers={workers})", p.name),
             );
         }
-        let _ = std::fs::remove_dir_all(&dir_scratch);
-        let _ = std::fs::remove_dir_all(&dir_forked);
+        total_aborted += scratch.units_aborted_mem_budget;
     }
     assert!(
         total_forked > 0,
@@ -423,6 +306,10 @@ fn fork_mode_never_changes_results() {
     assert!(
         total_prefix_saved > 0,
         "fork mode never saved a prefix step across the corpus — inert"
+    );
+    assert!(
+        total_aborted > 0,
+        "the budget never aborted a predictive unit across the corpus — inert"
     );
 }
 

@@ -62,9 +62,6 @@ fn distinct_health() -> (PipelineHealth, Vec<(&'static str, u64)>) {
         elision_sites_lock_dominated: 509,
         elision_sites_read_only: 510,
         elision_events_elided: 511,
-        trace_spilled_bytes: 512,
-        trace_spill_segments: 513,
-        mem_pressure_events: 514,
         shadow_cells_gced: 515,
         units_aborted_mem_budget: 516,
         predict_candidates: 517,
@@ -94,9 +91,6 @@ fn distinct_health() -> (PipelineHealth, Vec<(&'static str, u64)>) {
         elision_sites_lock_dominated,
         elision_sites_read_only,
         elision_events_elided,
-        trace_spilled_bytes,
-        trace_spill_segments,
-        mem_pressure_events,
         shadow_cells_gced,
         units_aborted_mem_budget,
         predict_candidates,
@@ -119,9 +113,6 @@ fn distinct_health() -> (PipelineHealth, Vec<(&'static str, u64)>) {
         ("elision_sites_lock_dominated", elision_sites_lock_dominated),
         ("elision_sites_read_only", elision_sites_read_only),
         ("elision_events_elided", elision_events_elided),
-        ("trace_spilled_bytes", trace_spilled_bytes),
-        ("trace_spill_segments", trace_spill_segments),
-        ("mem_pressure_events", mem_pressure_events),
         ("shadow_cells_gced", shadow_cells_gced),
         ("units_aborted_mem_budget", units_aborted_mem_budget),
         ("predict_candidates", predict_candidates),
@@ -240,9 +231,6 @@ fn status_report_round_trips_every_field() {
         elision_sites_read_only: 14,
         elision_events_elided: 15,
         elision_solve_us: 16,
-        trace_spilled_bytes: 17,
-        trace_spill_segments: 18,
-        mem_pressure_events: 19,
         shadow_cells_gced: 20,
         units_aborted_mem_budget: 21,
         predict_candidates: 22,

@@ -11,8 +11,7 @@
 //!   predict_witnessed`), and the witness counters are internally
 //!   consistent;
 //! * **determinism** — reports and predict counters are byte-identical
-//!   at any worker count and any streaming channel capacity, spilled
-//!   or not;
+//!   at any worker count;
 //! * **lock discipline** — a program whose shared accesses are all
 //!   protected by one mutex predicts nothing, even though the
 //!   candidate enumerator considers its conflicting pairs.
@@ -23,38 +22,18 @@
 //! prediction layer alone.
 
 use owl_ir::{FuncId, InstRef, ModuleBuilder, Type};
-use owl_race::{
-    explore, ExploreResult, ExplorerConfig, HbBackend, HbConfig, HbDetector, StreamConfig,
-};
+use owl_race::{explore, ExploreResult, ExplorerConfig, HbBackend, HbConfig, HbDetector};
 use owl_vm::{ProgramInput, RandomScheduler, RunConfig, TraceSink, VecSink, Vm};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use std::path::PathBuf;
 
 const PREDICTIVE: [HbBackend; 2] = [HbBackend::SyncPreserving, HbBackend::SyncReversal];
 
 fn sweep(p: &owl_corpus::CorpusProgram, backend: HbBackend, workers: usize) -> ExploreResult {
-    sweep_streamed(p, backend, workers, 0, None, None)
-}
-
-fn sweep_streamed(
-    p: &owl_corpus::CorpusProgram,
-    backend: HbBackend,
-    workers: usize,
-    capacity: usize,
-    budget: Option<u64>,
-    spill_dir: Option<PathBuf>,
-) -> ExploreResult {
     let cfg = ExplorerConfig {
         runs_per_input: 4,
         workers,
         hb_backend: backend,
-        stream: StreamConfig {
-            channel_capacity: capacity,
-            max_trace_mem: budget,
-            spill_dir,
-            ..StreamConfig::default()
-        },
         ..ExplorerConfig::default()
     };
     explore(&p.module, p.entry, &p.workloads, &cfg)
@@ -123,17 +102,13 @@ fn predictive_backends_subsume_reference_across_corpus() {
     }
 }
 
-fn scratch_dir(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("owl-predict-spill-{}-{tag}", std::process::id()))
-}
-
 #[test]
-fn predictive_reports_identical_at_any_worker_count_and_capacity() {
+fn predictive_reports_identical_at_any_worker_count() {
     for p in owl_corpus::all_programs() {
         for backend in PREDICTIVE {
-            let baseline = sweep_streamed(&p, backend, 1, 0, None, None);
+            let baseline = sweep(&p, backend, 1);
             for workers in [2usize, 4] {
-                let r = sweep_streamed(&p, backend, workers, 0, None, None);
+                let r = sweep(&p, backend, workers);
                 assert_eq!(
                     r.reports, baseline.reports,
                     "{} ({backend:?}, workers={workers}): reports diverge",
@@ -141,27 +116,6 @@ fn predictive_reports_identical_at_any_worker_count_and_capacity() {
                 );
                 assert_eq!(predict_counters(&r), predict_counters(&baseline), "{}", p.name);
             }
-            for capacity in [1usize, 1024] {
-                let r = sweep_streamed(&p, backend, 1, capacity, None, None);
-                assert_eq!(
-                    r.reports, baseline.reports,
-                    "{} ({backend:?}, capacity={capacity}): streaming diverges",
-                    p.name
-                );
-                assert_eq!(predict_counters(&r), predict_counters(&baseline), "{}", p.name);
-            }
-            // Spilled replay must reconstruct the same trace and
-            // therefore the same predictions.
-            let dir = scratch_dir(&format!("{}-{}", p.name, backend.name()));
-            let r = sweep_streamed(&p, backend, 2, 4, Some(512), Some(dir.clone()));
-            let _ = std::fs::remove_dir_all(&dir);
-            assert_eq!(
-                r.reports, baseline.reports,
-                "{} ({backend:?}): spilling changed predictions",
-                p.name
-            );
-            assert_eq!(r.units_aborted_mem_budget, 0, "{}", p.name);
-            assert_eq!(predict_counters(&r), predict_counters(&baseline), "{}", p.name);
         }
     }
 }
