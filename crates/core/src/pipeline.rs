@@ -40,11 +40,11 @@ use owl_verify::{
     AbortCause, RaceVerification, RaceVerifier, VerifyOutcome, VulnVerification, VulnVerifier,
 };
 use owl_vm::ProgramInput;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Table-3-shaped stage counters for one pipeline run.
@@ -675,11 +675,17 @@ impl<'m> Owl<'m> {
     /// journal is **replayed** — its recorded verdict and health
     /// contribution are restored without executing anything — and a
     /// unit computed live is appended (write + flush + fsync) the
-    /// moment it completes. Killing the process at any point therefore
-    /// loses at most the one unit that was in flight; a rerun with the
-    /// same journal picks up exactly where the record stream ends and
-    /// produces the same deterministic summary an uninterrupted run
-    /// would have.
+    /// moment it can be committed. Stage 3 verifies reports across all
+    /// cores but commits their records in report order: a verdict is
+    /// journaled once it and every report before it are done. Killing
+    /// the process at any point therefore loses at most the work not
+    /// yet committed — in stage 3 the verdicts in flight on the workers
+    /// plus those that finished behind a still-running earlier report
+    /// (workers do not wait for the commit, so on a skewed report set
+    /// this can exceed the worker count), in stages 4–5 the one unit in
+    /// flight. A rerun with the same journal picks up exactly where the
+    /// record stream ends and produces the same deterministic summary
+    /// an uninterrupted run would have.
     ///
     /// Journal recovery counters ([`JournalSink::recovery_report`])
     /// are surfaced
@@ -736,116 +742,53 @@ impl<'m> Owl<'m> {
         let tv = Instant::now();
         let t3 = Instant::now();
 
-        // Stage 3, journaled: replay recorded verdicts, verify the
-        // rest live and journal each verdict as it lands.
-        let primary = workloads[0].clone();
-        let race_verifier = RaceVerifier::new(self.module, self.config.race_verify.clone());
+        // Stage 3, journaled: resolve every recorded verdict first (in
+        // report order, so equal keys consume their records in journal
+        // order), fan the rest out, and commit in report order — each
+        // live verdict is journaled the moment it and every report
+        // before it are done.
+        let replays: Vec<Option<VerifyUnit>> = reports
+            .iter()
+            .map(|report| index.next_verify(&unit_key(report)))
+            .collect();
+        let live: Vec<&RaceReport> = reports
+            .iter()
+            .zip(&replays)
+            .filter(|(_, replay)| replay.is_none())
+            .map(|(report, _)| report)
+            .collect();
         let mut verified: Vec<(RaceReport, RaceVerification)> = Vec::new();
-        for report in &reports {
-            let key = unit_key(report);
-            if let Some(replay) = index.next_verify(&key) {
-                match replay {
-                    VerifyReplay::Verdict {
-                        confirmed,
-                        attempts,
-                        injected_faults,
-                    } => {
-                        health.race_verify.attempts += attempts;
-                        health.race_verify.retries += attempts.saturating_sub(1);
-                        health.race_verify.injected_faults += injected_faults;
-                        if confirmed {
-                            verified.push((
-                                report.clone(),
-                                replayed_race_verification(attempts, injected_faults),
-                            ));
-                        } else {
-                            stats.verifier_eliminated += 1;
+        let width = fan_out_width(live.len());
+        self.verify_in_order(
+            &workloads[0],
+            &live,
+            width,
+            Committer::Journals,
+            |results| {
+                for (report, replay) in reports.iter().zip(replays) {
+                    let (unit, verification) = match replay {
+                        Some(unit) => (unit, None),
+                        None => {
+                            let result =
+                                results.next().expect("one stage-3 result per live report");
+                            let (unit, verification) = VerifyUnit::live(result);
+                            journal.append_record(unit.record(name, unit_key(report), report))?;
+                            (unit, verification)
                         }
-                    }
-                    VerifyReplay::Quarantined {
-                        error,
-                        attempts,
-                        injected_faults,
-                    } => {
-                        health.race_verify.attempts += attempts;
-                        health.race_verify.retries += attempts.saturating_sub(1);
-                        health.race_verify.injected_faults += injected_faults;
-                        apply_quarantine_health(&mut health.race_verify, &error);
-                        quarantined.push(Quarantined {
-                            race: report.clone(),
-                            error,
-                        });
-                    }
-                }
-                continue;
-            }
-            match catch_unwind(AssertUnwindSafe(|| {
-                race_verifier.verify(self.entry, &primary, report)
-            })) {
-                Ok(v) => {
-                    health.race_verify.attempts += v.attempts;
-                    health.race_verify.retries += v.attempts.saturating_sub(1);
-                    health.race_verify.injected_faults += v.injected_faults;
-                    match v.verdict {
-                        VerifyOutcome::Confirmed | VerifyOutcome::Unconfirmed => {
-                            let confirmed = v.verdict == VerifyOutcome::Confirmed;
-                            journal.append_record(JournalRecord::ReportVerified {
-                                program: name.to_string(),
-                                key,
-                                global: report.global_name.clone(),
-                                confirmed,
-                                attempts: v.attempts,
-                                injected_faults: v.injected_faults,
-                            })?;
-                            if confirmed {
-                                verified.push((report.clone(), v));
-                            } else {
-                                stats.verifier_eliminated += 1;
-                            }
-                        }
-                        VerifyOutcome::Aborted { cause, attempts } => {
-                            let error = PipelineError::VerifierAborted {
-                                stage: Stage::RaceVerify,
-                                cause,
-                                attempts,
-                            };
-                            journal.append_record(JournalRecord::Quarantined {
-                                program: name.to_string(),
-                                key: Some(key),
-                                global: report.global_name.clone(),
-                                error: error.clone(),
-                                attempts: v.attempts,
-                                injected_faults: v.injected_faults,
-                            })?;
-                            apply_quarantine_health(&mut health.race_verify, &error);
-                            quarantined.push(Quarantined {
-                                race: report.clone(),
-                                error,
-                            });
-                        }
-                    }
-                }
-                Err(payload) => {
-                    let error = PipelineError::Panicked {
-                        stage: Stage::RaceVerify,
-                        message: panic_message(payload),
                     };
-                    journal.append_record(JournalRecord::Quarantined {
-                        program: name.to_string(),
-                        key: Some(key),
-                        global: report.global_name.clone(),
-                        error: error.clone(),
-                        attempts: 0,
-                        injected_faults: 0,
-                    })?;
-                    apply_quarantine_health(&mut health.race_verify, &error);
-                    quarantined.push(Quarantined {
-                        race: report.clone(),
-                        error,
-                    });
+                    absorb_race_unit(
+                        report,
+                        unit,
+                        verification,
+                        &mut stats,
+                        &mut health,
+                        &mut verified,
+                        &mut quarantined,
+                    );
                 }
-            }
-        }
+                Ok::<(), JournalError>(())
+            },
+        )?;
         stats.remaining = verified.len();
         stats.race_verify_time += t3.elapsed();
 
@@ -1092,15 +1035,23 @@ impl<'m> Owl<'m> {
         // they can never be co-suspended. CTrigger-style verification
         // instead re-executes and confirms the unserializable
         // interleaving re-manifests.
+        //
+        // Attempt k of every report runs the same execution — seed
+        // `base_seed + k` on the primary input, no breakpoints — so each
+        // seed runs at most once per call: `seed_runs[k]` holds that
+        // run's report keys and injected-fault count, filled lazily as
+        // far as the reports need.
         let tv = Instant::now();
         let t3 = Instant::now();
         let stage_start = Instant::now();
         let mut stage_expired = false;
-        let primary = workloads[0].clone();
+        let mut processed = 0u64;
+        let primary = &workloads[0];
+        let mut seed_runs: Vec<(Vec<_>, u64)> = Vec::new();
         let mut verified: Vec<(RaceReport, RaceVerification)> = Vec::new();
         for report in &atomicity_reports {
             if let Some(d) = self.config.stage_deadline {
-                if !stage_expired && !verified.is_empty() && stage_start.elapsed() >= d {
+                if !stage_expired && processed > 0 && stage_start.elapsed() >= d {
                     stage_expired = true;
                     health.race_verify.deadline_hits += 1;
                 }
@@ -1115,24 +1066,30 @@ impl<'m> Owl<'m> {
                 });
                 continue;
             }
+            processed += 1;
             let attempt = catch_unwind(AssertUnwindSafe(|| {
                 let mut confirmed = false;
                 let mut attempts = 0u64;
                 let mut faults = 0u64;
                 for k in 0..self.config.race_verify.max_schedules {
                     attempts = k + 1;
-                    let mut re = owl_race::AtomicityDetector::new();
-                    let mut sched =
-                        owl_vm::RandomScheduler::new(self.config.race_verify.base_seed + k);
-                    let vm = owl_vm::Vm::new(
-                        self.module,
-                        self.entry,
-                        primary.clone(),
-                        self.config.race_verify.run_config.clone(),
-                    );
-                    let outcome = vm.run(&mut sched, &mut re);
-                    faults += outcome.injected_faults.len() as u64;
-                    if re.reports().iter().any(|r| r.key() == report.key()) {
+                    if seed_runs.len() as u64 == k {
+                        let mut re = owl_race::AtomicityDetector::new();
+                        let mut sched =
+                            owl_vm::RandomScheduler::new(self.config.race_verify.base_seed + k);
+                        let vm = owl_vm::Vm::new(
+                            self.module,
+                            self.entry,
+                            primary.clone(),
+                            self.config.race_verify.run_config.clone(),
+                        );
+                        let outcome = vm.run(&mut sched, &mut re);
+                        let keys = re.reports().iter().map(|r| r.key()).collect();
+                        seed_runs.push((keys, outcome.injected_faults.len() as u64));
+                    }
+                    let (keys, seed_faults) = &seed_runs[k as usize];
+                    faults += seed_faults;
+                    if keys.contains(&report.key()) {
                         confirmed = true;
                         break;
                     }
@@ -1213,79 +1170,126 @@ impl<'m> Owl<'m> {
         health: &mut PipelineHealth,
         quarantined: &mut Vec<Quarantined>,
     ) -> Vec<Finding> {
-        let primary = workloads[0].clone();
         let tv = Instant::now();
 
-        // Stage 3: dynamic race verification (primary workload).
+        // Stage 3: dynamic race verification (primary workload). A
+        // stage deadline counts processed reports in order, so it keeps
+        // the serial (width-1, lazily verifying) path.
         let t3 = Instant::now();
         let stage_start = Instant::now();
         let mut stage_expired = false;
         let mut processed = 0u64;
-        let race_verifier = RaceVerifier::new(self.module, self.config.race_verify.clone());
         let mut verified: Vec<(RaceReport, RaceVerification)> = Vec::new();
-        for report in reports {
-            if let Some(d) = self.config.stage_deadline {
-                if !stage_expired && processed > 0 && stage_start.elapsed() >= d {
-                    stage_expired = true;
-                    health.race_verify.deadline_hits += 1;
-                }
-            }
-            if stage_expired {
-                health.race_verify.quarantined += 1;
-                quarantined.push(Quarantined {
-                    race: report.clone(),
-                    error: PipelineError::StageDeadline {
-                        stage: Stage::RaceVerify,
-                    },
-                });
-                continue;
-            }
-            processed += 1;
-            match catch_unwind(AssertUnwindSafe(|| {
-                race_verifier.verify(self.entry, &primary, report)
-            })) {
-                Ok(v) => {
-                    health.race_verify.attempts += v.attempts;
-                    health.race_verify.retries += v.attempts.saturating_sub(1);
-                    health.race_verify.injected_faults += v.injected_faults;
-                    match v.verdict {
-                        VerifyOutcome::Confirmed => verified.push((report.clone(), v)),
-                        VerifyOutcome::Unconfirmed => stats.verifier_eliminated += 1,
-                        VerifyOutcome::Aborted { cause, attempts } => {
-                            if cause == AbortCause::DeadlineExceeded {
-                                health.race_verify.deadline_hits += 1;
-                            }
-                            health.race_verify.quarantined += 1;
-                            quarantined.push(Quarantined {
-                                race: report.clone(),
-                                error: PipelineError::VerifierAborted {
-                                    stage: Stage::RaceVerify,
-                                    cause,
-                                    attempts,
-                                },
-                            });
-                        }
+        let all: Vec<&RaceReport> = reports.iter().collect();
+        let width = match self.config.stage_deadline {
+            Some(_) => 1,
+            None => fan_out_width(all.len()),
+        };
+        self.verify_in_order(&workloads[0], &all, width, Committer::Verifies, |results| {
+            for report in reports {
+                if let Some(d) = self.config.stage_deadline {
+                    if !stage_expired && processed > 0 && stage_start.elapsed() >= d {
+                        stage_expired = true;
+                        health.race_verify.deadline_hits += 1;
                     }
                 }
-                Err(payload) => {
-                    health.race_verify.panics += 1;
+                if stage_expired {
                     health.race_verify.quarantined += 1;
                     quarantined.push(Quarantined {
                         race: report.clone(),
-                        error: PipelineError::Panicked {
+                        error: PipelineError::StageDeadline {
                             stage: Stage::RaceVerify,
-                            message: panic_message(payload),
                         },
                     });
+                    continue;
                 }
+                processed += 1;
+                let result = results.next().expect("one stage-3 result per report");
+                let (unit, verification) = VerifyUnit::live(result);
+                absorb_race_unit(
+                    report,
+                    unit,
+                    verification,
+                    stats,
+                    health,
+                    &mut verified,
+                    quarantined,
+                );
             }
-        }
+        });
         stats.remaining = verified.len();
         stats.race_verify_time += t3.elapsed();
         let mut findings = self.analyze_findings(verified, stats, health, quarantined);
         self.verify_vuln_sites(&mut findings, workloads, extra_inputs, stats, health, quarantined);
         stats.verify_time += tv.elapsed();
         findings
+    }
+
+    /// The stage-3 fan-out shared by [`Owl::run`] and
+    /// [`Owl::run_with_journal`]: race-verifies `reports` on the
+    /// primary input across `width` workers and hands `consume` their
+    /// results **in report order**, each as soon as it and every result
+    /// before it are finished. `Err` carries the message of a panic
+    /// caught inside that report's verification, so a panic
+    /// quarantines only its own report.
+    ///
+    /// Scoped threads claim report indices from a shared counter. A
+    /// calling thread that [`Committer::Verifies`] is one of the
+    /// `width` workers: it claims from the same counter whenever
+    /// `consume` asks for a result nobody has finished. Each verdict
+    /// depends only on its report (the verifier's breakpoints and seeds
+    /// come from the report and the config), so every width yields the
+    /// same results in the same order. At width 1 a verifying caller
+    /// spawns no thread and report `i` runs only when `consume` asks
+    /// for it, which is what a stage deadline needs. When `consume`
+    /// returns or unwinds, unclaimed reports are abandoned and the
+    /// spawned workers exit after their current report.
+    fn verify_in_order<R>(
+        &self,
+        primary: &ProgramInput,
+        reports: &[&RaceReport],
+        width: usize,
+        committer: Committer,
+        consume: impl FnOnce(&mut dyn Iterator<Item = Result<RaceVerification, String>>) -> R,
+    ) -> R {
+        let verifier = RaceVerifier::new(self.module, self.config.race_verify.clone());
+        let verify = |i: usize| {
+            catch_unwind(AssertUnwindSafe(|| {
+                verifier.verify(self.entry, primary, reports[i])
+            }))
+            .map_err(panic_message)
+        };
+        let n = reports.len();
+        let spawn = match committer {
+            Committer::Verifies => width.saturating_sub(1),
+            Committer::Journals => width.max(1),
+        };
+        // The claim counter publishes no data (results travel over the
+        // channel or stay on the calling thread), so its operations are
+        // `Relaxed`.
+        let claim = AtomicUsize::new(0);
+        let (tx, rx) = mpsc::channel();
+        std::thread::scope(|s| {
+            for _ in 0..spawn {
+                let (tx, claim, verify) = (tx.clone(), &claim, &verify);
+                s.spawn(move || loop {
+                    let i = claim.fetch_add(1, Ordering::Relaxed);
+                    if i >= n || tx.send((i, verify(i))).is_err() {
+                        break;
+                    }
+                });
+            }
+            drop(tx);
+            let _abandon = AbandonRest { claim: &claim, n };
+            consume(&mut InOrder {
+                claim: &claim,
+                verify: matches!(committer, Committer::Verifies).then_some(&verify),
+                rx,
+                pending: BTreeMap::new(),
+                next: 0,
+                n,
+            })
+        })
     }
 
     /// Stage 4: static vulnerability analysis on each verified report,
@@ -1335,10 +1339,7 @@ impl<'m> Owl<'m> {
         let parallel = self.config.stage_deadline.is_none() && verified.len() >= 2;
         if parallel {
             let n = verified.len();
-            let workers = std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-                .min(n);
+            let workers = fan_out_width(n);
             let next = AtomicUsize::new(0);
             let slots: Vec<Mutex<Option<ReportAnalysis>>> =
                 (0..n).map(|_| Mutex::new(None)).collect();
@@ -1582,9 +1583,9 @@ impl<'m> Owl<'m> {
     }
 }
 
-/// A recorded stage-3 verdict, ready to replay instead of re-running
-/// the race verifier.
-enum VerifyReplay {
+/// One stage-3 unit's outcome: what its journal record holds, and
+/// what a resume replays instead of re-running the race verifier.
+enum VerifyUnit {
     /// The verifier reached a verdict (confirmed or eliminated).
     Verdict {
         confirmed: bool,
@@ -1597,6 +1598,80 @@ enum VerifyReplay {
         attempts: u64,
         injected_faults: u64,
     },
+}
+
+impl VerifyUnit {
+    /// The unit a live verification produced, plus the verification
+    /// itself when it confirmed the race (its hints and outcome are
+    /// not journaled). `Err` carries a caught panic's message.
+    fn live(result: Result<RaceVerification, String>) -> (Self, Option<RaceVerification>) {
+        match result {
+            Ok(v) => match v.verdict {
+                VerifyOutcome::Confirmed | VerifyOutcome::Unconfirmed => {
+                    let confirmed = v.verdict == VerifyOutcome::Confirmed;
+                    let unit = VerifyUnit::Verdict {
+                        confirmed,
+                        attempts: v.attempts,
+                        injected_faults: v.injected_faults,
+                    };
+                    (unit, confirmed.then_some(v))
+                }
+                VerifyOutcome::Aborted { cause, attempts } => {
+                    let unit = VerifyUnit::Quarantined {
+                        error: PipelineError::VerifierAborted {
+                            stage: Stage::RaceVerify,
+                            cause,
+                            attempts,
+                        },
+                        attempts: v.attempts,
+                        injected_faults: v.injected_faults,
+                    };
+                    (unit, None)
+                }
+            },
+            Err(message) => {
+                let unit = VerifyUnit::Quarantined {
+                    error: PipelineError::Panicked {
+                        stage: Stage::RaceVerify,
+                        message,
+                    },
+                    attempts: 0,
+                    injected_faults: 0,
+                };
+                (unit, None)
+            }
+        }
+    }
+
+    /// The journal record for this unit of `program`.
+    fn record(&self, program: &str, key: String, report: &RaceReport) -> JournalRecord {
+        match self {
+            VerifyUnit::Verdict {
+                confirmed,
+                attempts,
+                injected_faults,
+            } => JournalRecord::ReportVerified {
+                program: program.to_string(),
+                key,
+                global: report.global_name.clone(),
+                confirmed: *confirmed,
+                attempts: *attempts,
+                injected_faults: *injected_faults,
+            },
+            VerifyUnit::Quarantined {
+                error,
+                attempts,
+                injected_faults,
+            } => JournalRecord::Quarantined {
+                program: program.to_string(),
+                key: Some(key),
+                global: report.global_name.clone(),
+                error: error.clone(),
+                attempts: *attempts,
+                injected_faults: *injected_faults,
+            },
+        }
+    }
 }
 
 /// A recorded stage-4/5 unit, ready to replay instead of re-running
@@ -1613,13 +1688,13 @@ enum AnalyzeReplay {
 /// which matches processing order because reports are handled in
 /// deterministic detector order on every run.
 struct ResumeIndex {
-    verify: HashMap<String, VecDeque<VerifyReplay>>,
+    verify: HashMap<String, VecDeque<VerifyUnit>>,
     analyze: HashMap<String, VecDeque<AnalyzeReplay>>,
 }
 
 impl ResumeIndex {
     fn for_program(records: &[JournalRecord], program: &str) -> Self {
-        let mut verify: HashMap<String, VecDeque<VerifyReplay>> = HashMap::new();
+        let mut verify: HashMap<String, VecDeque<VerifyUnit>> = HashMap::new();
         let mut analyze: HashMap<String, VecDeque<AnalyzeReplay>> = HashMap::new();
         for rec in records {
             if rec.program() != Some(program) {
@@ -1636,7 +1711,7 @@ impl ResumeIndex {
                     verify
                         .entry(key.clone())
                         .or_default()
-                        .push_back(VerifyReplay::Verdict {
+                        .push_back(VerifyUnit::Verdict {
                             confirmed: *confirmed,
                             attempts: *attempts,
                             injected_faults: *injected_faults,
@@ -1670,7 +1745,7 @@ impl ResumeIndex {
                         verify
                             .entry(key.clone())
                             .or_default()
-                            .push_back(VerifyReplay::Quarantined {
+                            .push_back(VerifyUnit::Quarantined {
                                 error: error.clone(),
                                 attempts: *attempts,
                                 injected_faults: *injected_faults,
@@ -1683,7 +1758,7 @@ impl ResumeIndex {
         ResumeIndex { verify, analyze }
     }
 
-    fn next_verify(&mut self, key: &str) -> Option<VerifyReplay> {
+    fn next_verify(&mut self, key: &str) -> Option<VerifyUnit> {
         self.verify.get_mut(key)?.pop_front()
     }
 
@@ -1709,6 +1784,132 @@ fn absorb_sweep_health(health: &mut PipelineHealth, sweep: &owl_race::ExploreRes
     health.prefix_steps_saved += sweep.prefix_steps_saved;
     health.schedules_deduped += sweep.schedules_deduped;
     health.snapshot_bytes += sweep.snapshot_bytes;
+}
+
+/// Worker count for a fan-out over `n` independent units: one per
+/// available core, never more than there are units.
+fn fan_out_width(n: usize) -> usize {
+    std::thread::available_parallelism()
+        .map(|p| p.get())
+        .unwrap_or(1)
+        .min(n)
+}
+
+/// What the calling thread does while a stage-3 fan-out runs.
+#[derive(Clone, Copy, Debug)]
+enum Committer {
+    /// It only folds results in memory, so it verifies too: it is one
+    /// of the `width` workers.
+    Verifies,
+    /// It journals every result with an fsync'd append, so `width`
+    /// spawned threads verify beside it. (Letting it verify as well
+    /// made the default-settings corpus campaign about 25% slower on
+    /// a 2-core host: its appends then wait behind its own reports.)
+    Journals,
+}
+
+/// Stage-3 results in report order, reassembled from the workers'
+/// completion order. Asked for a result nobody has finished, it
+/// verifies the next unclaimed report itself when it has a `verify`;
+/// otherwise, or once every report is claimed, it waits for the
+/// spawned workers.
+struct InOrder<'a, T> {
+    claim: &'a AtomicUsize,
+    verify: Option<&'a (dyn Fn(usize) -> T + Sync)>,
+    rx: mpsc::Receiver<(usize, T)>,
+    /// Results that finished ahead of an earlier report.
+    pending: BTreeMap<usize, T>,
+    next: usize,
+    n: usize,
+}
+
+impl<T> Iterator for InOrder<'_, T> {
+    type Item = T;
+
+    fn next(&mut self) -> Option<T> {
+        if self.next == self.n {
+            return None;
+        }
+        let item = loop {
+            if let Some(item) = self.pending.remove(&self.next) {
+                break item;
+            }
+            let claimed = self.verify.and_then(|verify| {
+                let i = self.claim.fetch_add(1, Ordering::Relaxed);
+                (i < self.n).then(|| (i, verify(i)))
+            });
+            let (i, item) = if let Some(done) = claimed {
+                done
+            } else {
+                self.rx
+                    .recv()
+                    .expect("a worker sends every report it claims before exiting")
+            };
+            self.pending.insert(i, item);
+        };
+        self.next += 1;
+        Some(item)
+    }
+}
+
+/// On drop (return or unwind), marks every unclaimed unit as claimed,
+/// so the fan-out's workers stop after their current unit.
+struct AbandonRest<'a> {
+    claim: &'a AtomicUsize,
+    n: usize,
+}
+
+impl Drop for AbandonRest<'_> {
+    fn drop(&mut self) {
+        self.claim.fetch_max(self.n, Ordering::Relaxed);
+    }
+}
+
+/// Folds one stage-3 unit, live or replayed, into the run: its health
+/// contribution, and the report's place among the verified, the
+/// eliminated or the quarantined. A replayed confirmation carries no
+/// live `verification`; its deterministic slice is rebuilt.
+fn absorb_race_unit(
+    report: &RaceReport,
+    unit: VerifyUnit,
+    verification: Option<RaceVerification>,
+    stats: &mut PipelineStats,
+    health: &mut PipelineHealth,
+    verified: &mut Vec<(RaceReport, RaceVerification)>,
+    quarantined: &mut Vec<Quarantined>,
+) {
+    match unit {
+        VerifyUnit::Verdict {
+            confirmed,
+            attempts,
+            injected_faults,
+        } => {
+            health.race_verify.attempts += attempts;
+            health.race_verify.retries += attempts.saturating_sub(1);
+            health.race_verify.injected_faults += injected_faults;
+            if confirmed {
+                let v = verification
+                    .unwrap_or_else(|| replayed_race_verification(attempts, injected_faults));
+                verified.push((report.clone(), v));
+            } else {
+                stats.verifier_eliminated += 1;
+            }
+        }
+        VerifyUnit::Quarantined {
+            error,
+            attempts,
+            injected_faults,
+        } => {
+            health.race_verify.attempts += attempts;
+            health.race_verify.retries += attempts.saturating_sub(1);
+            health.race_verify.injected_faults += injected_faults;
+            apply_quarantine_health(&mut health.race_verify, &error);
+            quarantined.push(Quarantined {
+                race: report.clone(),
+                error,
+            });
+        }
+    }
 }
 
 /// Folds a quarantine's secondary effects (panic/deadline counters plus
@@ -1891,6 +2092,48 @@ mod tests {
         assert!(result.error.is_none());
         assert!(result.health.detect.attempts > 0);
         assert!(result.health.race_verify.attempts > 0);
+    }
+
+    /// The stage-3 fan-out hands back the same results in report order
+    /// at every width, whatever the calling thread does: verdicts,
+    /// attempts, injected faults and hints, across the whole corpus
+    /// under a fault plan.
+    #[test]
+    fn stage3_fan_out_is_width_invariant() {
+        let cfg = OwlConfig::quick().with_fault_plan(owl_vm::FaultPlan::uniform(11, 0.01));
+        for p in owl_corpus::all_programs() {
+            let owl = Owl::new(&p.module, p.entry, cfg.clone());
+            let (_, reports) = owl
+                .detect_and_annotate(
+                    &p.workloads,
+                    &mut PipelineStats::default(),
+                    &mut PipelineHealth::default(),
+                )
+                .expect("corpus detection runs within budget");
+            let live: Vec<&RaceReport> = reports.iter().collect();
+            let at_width = |width, committer| {
+                owl.verify_in_order(&p.workloads[0], &live, width, committer, |results| {
+                    results
+                        .map(|r| {
+                            let v = r.expect("corpus verification does not panic");
+                            (v.verdict, v.attempts, v.injected_faults, v.hints)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            };
+            let serial = at_width(1, Committer::Verifies);
+            assert_eq!(serial.len(), reports.len(), "{}", p.name);
+            for width in [1, 2, 4] {
+                for committer in [Committer::Verifies, Committer::Journals] {
+                    assert_eq!(
+                        at_width(width, committer),
+                        serial,
+                        "{} at width {width}, {committer:?}",
+                        p.name
+                    );
+                }
+            }
+        }
     }
 
     #[test]

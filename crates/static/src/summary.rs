@@ -24,6 +24,7 @@
 use crate::vuln::{DepKind, VulnStats};
 use owl_ir::analysis::AbsLoc;
 use owl_ir::{FuncId, InstRef, VulnClass};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -69,8 +70,10 @@ pub struct FuncSummary {
     /// subtree, with the tainting store for provenance (deterministic
     /// order).
     pub tainted: Vec<(AbsLoc, InstRef)>,
-    /// Traversal cost of computing the summary (what a cache hit
-    /// saves).
+    /// Traversal cost of the summary's own walk (what a cache hit
+    /// saves). Callee summaries it used are not included: each summary
+    /// is charged once, to the analysis that inserted it, so the total
+    /// over a stage does not depend on which worker got there first.
     pub stats: VulnStats,
 }
 
@@ -107,14 +110,15 @@ impl SummaryCache {
         found
     }
 
-    /// Inserts a computed summary and returns the shared handle. If a
-    /// racing worker inserted the same key first, that copy wins (the
-    /// computation is deterministic, so both are identical).
-    pub fn insert(&self, key: SummaryKey, summary: FuncSummary) -> Arc<FuncSummary> {
-        self.map()
-            .entry(key)
-            .or_insert_with(|| Arc::new(summary))
-            .clone()
+    /// Inserts a computed summary and returns the shared handle, and
+    /// whether this call's copy went in. If a racing worker inserted
+    /// the same key first, that copy wins (the computation is
+    /// deterministic, so both are identical) and the flag is `false`.
+    pub fn insert(&self, key: SummaryKey, summary: FuncSummary) -> (Arc<FuncSummary>, bool) {
+        match self.map().entry(key) {
+            Entry::Occupied(e) => (e.get().clone(), false),
+            Entry::Vacant(e) => (e.insert(Arc::new(summary)).clone(), true),
+        }
     }
 
     /// Cache hits so far.
@@ -167,15 +171,16 @@ mod tests {
     #[test]
     fn racing_insert_keeps_first_copy() {
         let cache = SummaryCache::new();
-        let a = cache.insert(
+        let (a, a_won) = cache.insert(
             key(1, 0),
             FuncSummary {
                 ret_corrupted: true,
                 ..FuncSummary::default()
             },
         );
-        let b = cache.insert(key(1, 0), FuncSummary::default());
+        let (b, b_won) = cache.insert(key(1, 0), FuncSummary::default());
         assert!(Arc::ptr_eq(&a, &b), "first insert wins");
         assert!(b.ret_corrupted);
+        assert!(a_won && !b_won);
     }
 }

@@ -155,6 +155,9 @@ pub struct VulnAnalyzer<'m> {
     summaries: Option<Arc<SummaryCache>>,
     /// Summary keys currently being computed (recursion-cycle guard).
     in_progress: HashSet<SummaryKey>,
+    /// Own cost of the summaries this analyzer inserted into the cache
+    /// during the current [`VulnAnalyzer::analyze`] call.
+    charged: VulnStats,
 }
 
 /// Where to start traversal inside a function.
@@ -271,6 +274,7 @@ impl<'m> VulnAnalyzer<'m> {
             callgraph,
             summaries,
             in_progress: HashSet::new(),
+            charged: VulnStats::default(),
         }
     }
 
@@ -299,6 +303,7 @@ impl<'m> VulnAnalyzer<'m> {
         start: InstRef,
         call_stack: &[InstRef],
     ) -> (Vec<VulnReport>, VulnStats) {
+        self.charged = VulnStats::default();
         let mut walk = Walk::new(start);
         walk.crpt.insert(start);
         let mut ret_corrupted = self.do_detect(
@@ -342,7 +347,10 @@ impl<'m> VulnAnalyzer<'m> {
         }
         self.relay_fixpoint(&mut walk);
         let mut reports = walk.reports;
-        let stats = walk.stats;
+        let stats = VulnStats {
+            insts_visited: walk.stats.insts_visited + self.charged.insts_visited,
+            funcs_entered: walk.stats.funcs_entered + self.charged.funcs_entered,
+        };
         for r in &mut reports {
             r.path_branches = self.path_branches(r.site);
         }
@@ -687,15 +695,9 @@ impl<'m> VulnAnalyzer<'m> {
             crpt_params,
             ctrl,
         };
-        let Some((summary, computed)) = self.summary_for(key) else {
+        let Some(summary) = self.summary_for(key) else {
             return false;
         };
-        if computed {
-            // First computation pays the traversal cost; cache hits
-            // replay for free — that is the point.
-            walk.stats.insts_visited += summary.stats.insts_visited;
-            walk.stats.funcs_entered += summary.stats.funcs_entered;
-        }
         for (loc, store) in &summary.tainted {
             walk.tainted.entry(*loc).or_insert(*store);
         }
@@ -734,15 +736,14 @@ impl<'m> VulnAnalyzer<'m> {
     }
 
     /// Returns the summary for `key`, computing and caching it on a
-    /// miss, plus whether this call computed it. `None` means the
-    /// descent must be skipped conservatively: the key is already being
-    /// computed (a recursion cycle) or the mutual-recursion guard
-    /// tripped. Cycles are not cached, so a later acyclic context still
-    /// computes the full summary.
-    fn summary_for(&mut self, key: SummaryKey) -> Option<(Arc<FuncSummary>, bool)> {
+    /// miss. `None` means the descent must be skipped conservatively:
+    /// the key is already being computed (a recursion cycle) or the
+    /// mutual-recursion guard tripped. Cycles are not cached, so a
+    /// later acyclic context still computes the full summary.
+    fn summary_for(&mut self, key: SummaryKey) -> Option<Arc<FuncSummary>> {
         let cache = self.summaries.clone()?;
         if let Some(s) = cache.get(key) {
-            return Some((s, false));
+            return Some(s);
         }
         if self.in_progress.contains(&key)
             || self.in_progress.len() > 2 * self.config.max_call_depth
@@ -782,7 +783,14 @@ impl<'m> VulnAnalyzer<'m> {
             tainted: sub.tainted.into_iter().collect(),
             stats: sub.stats,
         };
-        Some((cache.insert(key, summary), true))
+        let (summary, inserted) = cache.insert(key, summary);
+        if inserted {
+            // The inserting analysis pays the traversal cost; cache hits
+            // (and racing copies that lost the insert) replay for free.
+            self.charged.insts_visited += summary.stats.insts_visited;
+            self.charged.funcs_entered += summary.stats.funcs_entered;
+        }
+        Some(summary)
     }
 
     /// Ascends from `f` through every call site that may invoke it,

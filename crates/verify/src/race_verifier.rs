@@ -253,6 +253,22 @@ impl<'m> RaceVerifier<'m> {
             RaceOrder::WriteFirst => Some(write_site),
             RaceOrder::ReadFirst => read_site,
         };
+        // Every attempt starts from the same step-0 machine: build it
+        // (memory image, fault plan, both breakpoints) once and resume a
+        // CoW copy per attempt. The pause point is step 0, not the
+        // first concurrent step: a breakpoint armed in the
+        // single-threaded prefix can already suspend and stall there.
+        let base = {
+            let mut vm = Vm::new(
+                self.module,
+                entry,
+                input.clone(),
+                self.config.run_config.clone(),
+            );
+            vm.add_breakpoint(Breakpoint::at(report.first.site));
+            vm.add_breakpoint(Breakpoint::at(report.second.site));
+            vm.snapshot()
+        };
         let start = Instant::now();
         let mut injected_faults = 0u64;
         let mut all_step_limit = true;
@@ -278,14 +294,7 @@ impl<'m> RaceVerifier<'m> {
                 first_site,
                 confirmed: None,
             };
-            let mut vm = Vm::new(
-                self.module,
-                entry,
-                input.clone(),
-                self.config.run_config.clone(),
-            );
-            vm.add_breakpoint(Breakpoint::at(report.first.site));
-            vm.add_breakpoint(Breakpoint::at(report.second.site));
+            let vm = Vm::resume(self.module, base.clone());
             let mut sched = RandomScheduler::new(self.config.base_seed + k);
             let outcome = vm.run_controlled(&mut sched, &mut owl_vm::NullSink, &mut controller);
             injected_faults += outcome.injected_faults.len() as u64;
@@ -532,6 +541,102 @@ mod tests {
                 attempts: 4,
             }
         );
+    }
+
+    /// The pre-snapshot attempt loop: a fresh `Vm::new` (memory image,
+    /// fault plan, breakpoints) per attempt. Returns the verdict, the
+    /// attempts, the hints and the confirming outcome.
+    fn fresh_vm_per_attempt(
+        verifier: &RaceVerifier<'_>,
+        entry: FuncId,
+        input: &ProgramInput,
+        report: &RaceReport,
+    ) -> (
+        VerifyOutcome,
+        u64,
+        Option<SecurityHints>,
+        Option<ExecOutcome>,
+    ) {
+        let cfg = &verifier.config;
+        let write_site = if report.first.is_write {
+            report.first.site
+        } else {
+            report.second.site
+        };
+        let mut all_step_limit = true;
+        for k in 0..cfg.max_schedules {
+            let mut controller = RvController {
+                site_a: report.first.site,
+                site_b: report.second.site,
+                first_site: Some(write_site),
+                confirmed: None,
+            };
+            let mut vm = Vm::new(
+                verifier.module,
+                entry,
+                input.clone(),
+                cfg.run_config.clone(),
+            );
+            vm.add_breakpoint(Breakpoint::at(report.first.site));
+            vm.add_breakpoint(Breakpoint::at(report.second.site));
+            let mut sched = RandomScheduler::new(cfg.base_seed + k);
+            let outcome = vm.run_controlled(&mut sched, &mut owl_vm::NullSink, &mut controller);
+            all_step_limit &= outcome.status == ExitStatus::StepLimit;
+            if let Some(mut hints) = controller.confirmed {
+                hints.global_name =
+                    owl_race::global_name_for_addr(verifier.module, hints.addr).map(str::to_string);
+                return (VerifyOutcome::Confirmed, k + 1, Some(hints), Some(outcome));
+            }
+        }
+        let verdict = if all_step_limit && cfg.max_schedules > 0 {
+            VerifyOutcome::Aborted {
+                cause: AbortCause::StepBudgetExhausted,
+                attempts: cfg.max_schedules,
+            }
+        } else {
+            VerifyOutcome::Unconfirmed
+        };
+        (verdict, cfg.max_schedules, None, None)
+    }
+
+    /// Resuming every attempt from one step-0 snapshot changes nothing:
+    /// over every corpus program's detector reports, under a fault
+    /// plan, `verify` matches a fresh VM per attempt.
+    #[test]
+    fn step0_snapshot_matches_fresh_vm_per_attempt() {
+        let run_config = RunConfig {
+            fault: owl_vm::FaultPlan::uniform(11, 0.01),
+            ..RunConfig::default()
+        };
+        let detect = owl_race::ExplorerConfig {
+            runs_per_input: 6,
+            run_config: run_config.clone(),
+            ..owl_race::ExplorerConfig::default()
+        };
+        let verifier_cfg = RaceVerifyConfig {
+            max_schedules: 4,
+            run_config,
+            ..RaceVerifyConfig::default()
+        };
+        let mut confirmed = 0;
+        for p in owl_corpus::all_programs() {
+            let reports = owl_race::explore(&p.module, p.entry, &p.workloads, &detect).reports;
+            let verifier = RaceVerifier::new(&p.module, verifier_cfg.clone());
+            let input = &p.workloads[0];
+            for report in &reports {
+                let v = verifier.verify(p.entry, input, report);
+                let fresh = fresh_vm_per_attempt(&verifier, p.entry, input, report);
+                assert_eq!(
+                    (v.verdict, v.attempts, v.hints, v.outcome),
+                    fresh,
+                    "{} report on {:?}",
+                    p.name,
+                    report.global_name
+                );
+                confirmed += usize::from(v.confirmed);
+            }
+        }
+        assert!(confirmed > 0, "the corpus confirms some races");
     }
 
     #[test]

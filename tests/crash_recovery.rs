@@ -19,7 +19,7 @@
 //! `OWL_CRASH_SEEDS` environment variable.
 
 use owl::{
-    run_campaign, CampaignConfig, CampaignFault, Journal, JournalKilled, OwlConfig,
+    run_campaign, CampaignConfig, CampaignFault, Journal, JournalKilled, JournalRecord, OwlConfig,
     PipelineError, ProgramOutcome,
 };
 use owl_corpus::CorpusProgram;
@@ -64,7 +64,8 @@ fn seeds() -> Vec<u64> {
 
 /// Small enough for an exhaustive kill-point sweep, large enough to
 /// exercise every record type (verify, analyze, finish) across two
-/// programs.
+/// programs. SSDB brings 17 live stage-3 reports, so the ordered
+/// commit of out-of-order verdicts is under every kill point too.
 fn mini_corpus() -> Vec<CorpusProgram> {
     vec![
         owl_corpus::program("Libsafe").expect("Libsafe is in the corpus"),
@@ -113,6 +114,19 @@ fn every_kill_point_resumes_byte_identically_across_seeds() {
             total > 10,
             "mini-corpus must journal a meaningful record stream, got {total}"
         );
+        // Stage 3 verifies a program's reports on several workers but
+        // journals them in report order; with at least four live
+        // reports in one program, kill points land while later reports
+        // have finished ahead of earlier ones.
+        let stage3 = Journal::open(base.join("journal.jsonl"))
+            .expect("baseline journal reopens")
+            .records()
+            .iter()
+            .filter(
+                |r| matches!(r, JournalRecord::ReportVerified { program, .. } if program == "SSDB"),
+            )
+            .count();
+        assert!(stage3 >= 4, "SSDB journals {stage3} stage-3 verdicts");
 
         // Sweep every kill point serially AND with the full pool (the
         // mini-corpus has two programs, so 2 workers is maximal
