@@ -21,7 +21,8 @@
 use owl::journal::{encode_error, encode_health, encode_summary};
 use owl::json::Json;
 use owl::serve::{
-    encode_request, parse_response, serve, FailureKind, Request, Response, ServeConfig,
+    encode_request, parse_response, resolve_program, serve, FailureKind, Request, Response,
+    ServeConfig,
 };
 use owl::{run_campaign, CampaignConfig, Owl, OwlConfig, PathAuditor, ProgramSummary};
 use owl_static::hints;
@@ -224,22 +225,6 @@ fn config(args: &[String]) -> Result<OwlConfig, String> {
     Ok(cfg)
 }
 
-fn load(name: &str) -> Option<owl_corpus::CorpusProgram> {
-    if name.eq_ignore_ascii_case("bank") {
-        return Some(owl_corpus::extensions::bank_atomicity());
-    }
-    if name.eq_ignore_ascii_case("heaprelay") || name.eq_ignore_ascii_case("heap-relay") {
-        return Some(owl_corpus::extensions::heap_relay());
-    }
-    if name.eq_ignore_ascii_case("cacherelay") || name.eq_ignore_ascii_case("cache-relay") {
-        return Some(owl_corpus::extensions::cache_relay());
-    }
-    // Accept case-insensitive names.
-    owl_corpus::all_programs()
-        .into_iter()
-        .find(|p| p.name.eq_ignore_ascii_case(name))
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else {
@@ -271,7 +256,7 @@ fn main() -> ExitCode {
             let Some(name) = args.get(1) else {
                 return usage();
             };
-            let Some(p) = load(name) else {
+            let Some(p) = resolve_program(name) else {
                 eprintln!("unknown program `{name}` (try `owl-cli list`)");
                 return ExitCode::FAILURE;
             };

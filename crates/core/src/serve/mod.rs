@@ -129,22 +129,44 @@ pub struct ServeReport {
     pub peak_running: u64,
 }
 
+/// Every program name `owl-cli run` and `owl serve` accept, matched
+/// case-insensitively, with the canonical name of the program it
+/// builds: the corpus programs plus the extension models and their
+/// hyphenated aliases.
+const PROGRAM_NAMES: &[(&str, &str)] = &[
+    ("Apache", "Apache"),
+    ("Chrome", "Chrome"),
+    ("Libsafe", "Libsafe"),
+    ("Linux", "Linux"),
+    ("Memcached", "Memcached"),
+    ("MySQL", "MySQL"),
+    ("SSDB", "SSDB"),
+    ("Bank", "Bank"),
+    ("HeapRelay", "HeapRelay"),
+    ("heap-relay", "HeapRelay"),
+    ("CacheRelay", "CacheRelay"),
+    ("cache-relay", "CacheRelay"),
+];
+
+/// The canonical name of the program `name` submits, without building
+/// it; `None` for a name [`resolve_program`] rejects.
+pub fn canonical_program_name(name: &str) -> Option<&'static str> {
+    PROGRAM_NAMES
+        .iter()
+        .find(|(alias, _)| alias.eq_ignore_ascii_case(name))
+        .map(|&(_, canonical)| canonical)
+}
+
 /// Resolves a submitted program name: the corpus programs
 /// (case-insensitive) plus the extension models, the same names
-/// `owl-cli run` accepts.
+/// `owl-cli run` accepts. Builds only the matching program.
 pub fn resolve_program(name: &str) -> Option<CorpusProgram> {
-    if name.eq_ignore_ascii_case("bank") {
-        return Some(owl_corpus::extensions::bank_atomicity());
+    match canonical_program_name(name)? {
+        "Bank" => Some(owl_corpus::extensions::bank_atomicity()),
+        "HeapRelay" => Some(owl_corpus::extensions::heap_relay()),
+        "CacheRelay" => Some(owl_corpus::extensions::cache_relay()),
+        corpus => owl_corpus::program(corpus),
     }
-    if name.eq_ignore_ascii_case("heaprelay") || name.eq_ignore_ascii_case("heap-relay") {
-        return Some(owl_corpus::extensions::heap_relay());
-    }
-    if name.eq_ignore_ascii_case("cacherelay") || name.eq_ignore_ascii_case("cache-relay") {
-        return Some(owl_corpus::extensions::cache_relay());
-    }
-    owl_corpus::all_programs()
-        .into_iter()
-        .find(|p| p.name.eq_ignore_ascii_case(name))
 }
 
 /// Daemon lifecycle phase, advanced monotonically.
@@ -476,7 +498,7 @@ fn handle_submit(shared: &Arc<ServeShared>, conn: &Arc<Mutex<UnixStream>>, line:
             sleep_ms,
             inject_panic,
         } => {
-            let Some(resolved) = resolve_program(&program) else {
+            let Some(name) = canonical_program_name(&program) else {
                 respond(
                     conn,
                     &Response::Rejected {
@@ -500,7 +522,7 @@ fn handle_submit(shared: &Arc<ServeShared>, conn: &Arc<Mutex<UnixStream>>, line:
             } else {
                 shared.cfg.owl.clone()
             };
-            let fingerprint = ResultStore::fingerprint(&owl, resolved.name);
+            let fingerprint = ResultStore::fingerprint(&owl, name);
             if let Some((program, summary)) = shared.store.lookup(&fingerprint) {
                 // Fingerprint hit: answer from the durable store, no
                 // pipeline stage runs (and no stage span is recorded —
@@ -521,6 +543,19 @@ fn handle_submit(shared: &Arc<ServeShared>, conn: &Arc<Mutex<UnixStream>>, line:
                 shared.admission.complete(bytes);
                 return;
             }
+            // A store miss: only now build the program. (Every canonical
+            // name builds one; the unit tests pin the table to the
+            // corpus.)
+            let Some(resolved) = resolve_program(name) else {
+                respond(
+                    conn,
+                    &Response::Rejected {
+                        reason: RejectReason::UnknownProgram,
+                    },
+                );
+                shared.admission.complete(bytes);
+                return;
+            };
             let id = shared.next_id.fetch_add(1, Ordering::SeqCst) + 1;
             let deadline = Instant::now()
                 + deadline_ms
@@ -764,6 +799,30 @@ pub fn serve(cfg: ServeConfig) -> Result<ServeReport, JournalError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_accepted_name_builds_its_canonical_program() {
+        for &(alias, canonical) in PROGRAM_NAMES {
+            for spelling in [
+                alias.to_string(),
+                alias.to_ascii_lowercase(),
+                alias.to_ascii_uppercase(),
+            ] {
+                assert_eq!(
+                    canonical_program_name(&spelling),
+                    Some(canonical),
+                    "{spelling}"
+                );
+                let built = resolve_program(&spelling).expect("accepted name builds");
+                assert_eq!(built.name, canonical, "{spelling}");
+            }
+        }
+        // Every corpus program is reachable by its own name.
+        for p in owl_corpus::all_programs() {
+            assert_eq!(canonical_program_name(p.name), Some(p.name));
+        }
+        assert_eq!(canonical_program_name("no-such-program"), None);
+    }
 
     #[test]
     fn resolve_program_accepts_cli_names() {

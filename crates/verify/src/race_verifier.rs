@@ -13,15 +13,25 @@
 //! Livelocks caused by suspensions are resolved by the VM's automatic
 //! oldest-suspension release, mirroring the paper's "temporarily
 //! releasing one of the currently triggered breakpoints".
+//!
+//! Most attempts never reach either racing instruction, and a
+//! breakpoint no thread reaches changes nothing: such an attempt is
+//! the plain run of its seed. The verifier runs each seed's plain
+//! execution once per program, records the sites it reaches
+//! ([`owl_vm::ReachSet`]), and accounts every attempt whose racing
+//! instructions are both outside that set from the recorded run
+//! instead of executing it. Verdicts are unchanged (DESIGN.md §18).
 
 use crate::verdict::{AbortCause, VerifyOutcome};
 use owl_ir::{FuncId, InstRef, Module, Type};
 use owl_race::RaceReport;
 use owl_vm::{
     BreakDecision, BreakWorld, Breakpoint, Controller, ExecOutcome, ExitStatus, ProgramInput,
-    RandomScheduler, RunConfig, Suspension, ThreadId, Vm,
+    RandomScheduler, ReachSet, RunConfig, Snapshot, Suspension, ThreadId, Vm,
 };
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Which racing instruction should execute first once the race is
@@ -124,11 +134,41 @@ impl Default for RaceVerifyConfig {
     }
 }
 
+/// Seeds past this many are never probed: their attempts always
+/// execute. Bounds the probe table for huge `max_schedules`.
+const MAX_PROBED_SEEDS: u64 = 1024;
+
+/// The plain run of one scheduler seed — no breakpoints — on the
+/// verifier's bound input: what an attempt of that seed contributes to
+/// the verdict when its breakpoints are never reached.
+#[derive(Debug)]
+struct SeedProbe {
+    /// Every site a thread arrived at.
+    reach: ReachSet,
+    /// Whether the run ended in [`ExitStatus::StepLimit`].
+    step_limit: bool,
+    /// Faults the plan injected.
+    faults: u64,
+}
+
 /// Dynamic race verifier.
+///
+/// One verifier serves every report of a program and may be shared
+/// across threads: the per-seed probes are computed at most once, by
+/// whichever `verify` call first needs them.
 #[derive(Debug)]
 pub struct RaceVerifier<'m> {
     module: &'m Module,
     config: RaceVerifyConfig,
+    /// The `(entry, input)` the probes describe: the first pair
+    /// [`RaceVerifier::verify`] is called with. Calls with any other
+    /// pair execute every attempt.
+    probed: OnceLock<(FuncId, ProgramInput)>,
+    /// Probe of seed `base_seed + k` at index `k`.
+    probes: Vec<OnceLock<SeedProbe>>,
+    /// Attempts that executed rather than being accounted from a
+    /// probe.
+    executed: AtomicU64,
 }
 
 struct RvController {
@@ -221,7 +261,14 @@ impl Controller for RvController {
 impl<'m> RaceVerifier<'m> {
     /// Creates a verifier over `module`.
     pub fn new(module: &'m Module, config: RaceVerifyConfig) -> Self {
-        RaceVerifier { module, config }
+        let probed_seeds = config.max_schedules.min(MAX_PROBED_SEEDS) as usize;
+        RaceVerifier {
+            module,
+            config,
+            probed: OnceLock::new(),
+            probes: (0..probed_seeds).map(|_| OnceLock::new()).collect(),
+            executed: AtomicU64::new(0),
+        }
     }
 
     /// Verifier with default configuration.
@@ -253,22 +300,14 @@ impl<'m> RaceVerifier<'m> {
             RaceOrder::WriteFirst => Some(write_site),
             RaceOrder::ReadFirst => read_site,
         };
-        // Every attempt starts from the same step-0 machine: build it
-        // (memory image, fault plan, both breakpoints) once and resume a
-        // CoW copy per attempt. The pause point is step 0, not the
-        // first concurrent step: a breakpoint armed in the
-        // single-threaded prefix can already suspend and stall there.
-        let base = {
-            let mut vm = Vm::new(
-                self.module,
-                entry,
-                input.clone(),
-                self.config.run_config.clone(),
-            );
-            vm.add_breakpoint(Breakpoint::at(report.first.site));
-            vm.add_breakpoint(Breakpoint::at(report.second.site));
-            vm.snapshot()
-        };
+        let probes = self.probes_for(entry, input);
+        // Every executed attempt starts from the same step-0 machine:
+        // build it (memory image, fault plan, both breakpoints) on the
+        // first one and resume a CoW copy per attempt. The pause point
+        // is step 0, not the first concurrent step: a breakpoint armed
+        // in the single-threaded prefix can already suspend and stall
+        // there.
+        let mut base: Option<Snapshot> = None;
         let start = Instant::now();
         let mut injected_faults = 0u64;
         let mut all_step_limit = true;
@@ -288,6 +327,31 @@ impl<'m> RaceVerifier<'m> {
                     };
                 }
             }
+            let seed = self.config.base_seed + k;
+            // An attempt whose plain run reaches neither racing
+            // instruction is that plain run: account it, don't run it.
+            if let Some(probe) = probes.get(k as usize) {
+                let probe = probe.get_or_init(|| self.probe(entry, input, seed));
+                if !probe.reach.contains(report.first.site)
+                    && !probe.reach.contains(report.second.site)
+                {
+                    injected_faults += probe.faults;
+                    all_step_limit &= probe.step_limit;
+                    continue;
+                }
+            }
+            self.executed.fetch_add(1, Ordering::Relaxed);
+            let base = base.get_or_insert_with(|| {
+                let mut vm = Vm::new(
+                    self.module,
+                    entry,
+                    input.clone(),
+                    self.config.run_config.clone(),
+                );
+                vm.add_breakpoint(Breakpoint::at(report.first.site));
+                vm.add_breakpoint(Breakpoint::at(report.second.site));
+                vm.snapshot()
+            });
             let mut controller = RvController {
                 site_a: report.first.site,
                 site_b: report.second.site,
@@ -295,12 +359,10 @@ impl<'m> RaceVerifier<'m> {
                 confirmed: None,
             };
             let vm = Vm::resume(self.module, base.clone());
-            let mut sched = RandomScheduler::new(self.config.base_seed + k);
+            let mut sched = RandomScheduler::new(seed);
             let outcome = vm.run_controlled(&mut sched, &mut owl_vm::NullSink, &mut controller);
             injected_faults += outcome.injected_faults.len() as u64;
-            if outcome.status != ExitStatus::StepLimit {
-                all_step_limit = false;
-            }
+            all_step_limit &= outcome.status == ExitStatus::StepLimit;
             if let Some(mut hints) = controller.confirmed {
                 hints.global_name =
                     owl_race::global_name_for_addr(self.module, hints.addr).map(str::to_string);
@@ -333,6 +395,44 @@ impl<'m> RaceVerifier<'m> {
             outcome: None,
             injected_faults,
         }
+    }
+
+    /// The probe table, if this verifier's probes describe `(entry,
+    /// input)`; the first call binds them to its pair.
+    fn probes_for(&self, entry: FuncId, input: &ProgramInput) -> &[OnceLock<SeedProbe>] {
+        let (probed_entry, probed_input) = self.probed.get_or_init(|| (entry, input.clone()));
+        if *probed_entry == entry && probed_input == input {
+            &self.probes
+        } else {
+            &[]
+        }
+    }
+
+    /// Runs `seed`'s plain execution: the attempt's machine without
+    /// its breakpoints. Breakpoints are what differ between reports,
+    /// so one probe serves every report; an attempt that reaches
+    /// neither of its sites never matches a breakpoint and stays in
+    /// lockstep with this run, step for step and draw for draw.
+    fn probe(&self, entry: FuncId, input: &ProgramInput, seed: u64) -> SeedProbe {
+        let vm = Vm::new(
+            self.module,
+            entry,
+            input.clone(),
+            self.config.run_config.clone(),
+        );
+        let mut sched = RandomScheduler::new(seed);
+        let (outcome, reach) = vm.run_recording_reach(&mut sched, &mut owl_vm::NullSink);
+        SeedProbe {
+            reach,
+            step_limit: outcome.status == ExitStatus::StepLimit,
+            faults: outcome.injected_faults.len() as u64,
+        }
+    }
+
+    /// Attempts executed so far rather than accounted from a probe.
+    #[cfg(test)]
+    pub(crate) fn executed_attempts(&self) -> u64 {
+        self.executed.load(Ordering::Relaxed)
     }
 
     /// Renders the §5.2 hint block for a verification.
@@ -637,6 +737,98 @@ mod tests {
             }
         }
         assert!(confirmed > 0, "the corpus confirms some races");
+    }
+
+    /// The pipeline's stage-3 input for `p`: the detector's reports
+    /// after the adhoc-synchronization annotation re-run (stages 1–2 of
+    /// `owl::Owl::run` under `owl::OwlConfig`'s explorer settings; the
+    /// elision pre-pass is left out because it never changes a report).
+    fn annotated_reports(
+        p: &owl_corpus::CorpusProgram,
+        runs_per_input: u64,
+        run_config: &RunConfig,
+    ) -> Vec<RaceReport> {
+        let detect = owl_race::ExplorerConfig {
+            runs_per_input,
+            expected_steps: 4_000,
+            run_config: run_config.clone(),
+            ..owl_race::ExplorerConfig::default()
+        };
+        let raw = owl_race::explore(&p.module, p.entry, &p.workloads, &detect);
+        let annotations = owl_static::AdhocSyncDetector::new(&p.module)
+            .detect(&raw.reports)
+            .into_iter()
+            .map(|(_, a)| a)
+            .collect();
+        let annotated = owl_race::ExplorerConfig {
+            annotations,
+            ..detect
+        };
+        owl_race::explore(&p.module, p.entry, &p.workloads, &annotated).reports
+    }
+
+    /// Reach pruning changes no verdict on the pipeline's real stage-3
+    /// input: post-annotation reports on the primary input, at the
+    /// default (12 runs, 8 schedules) and quick (6 runs, 4 schedules)
+    /// budgets, with and without a fault plan. Every result matches a
+    /// fresh VM per attempt; injected-fault totals match the same
+    /// verifier called with an input its probes are not bound to
+    /// (which executes every attempt); and pruning does fire — most of
+    /// Linux's attempts never execute.
+    #[test]
+    fn reach_pruning_matches_fresh_vm_per_attempt_on_annotated_reports() {
+        for (runs_per_input, max_schedules) in [(12, 8), (6, 4)] {
+            for fault in [
+                owl_vm::FaultPlan::none(),
+                owl_vm::FaultPlan::uniform(11, 0.01),
+            ] {
+                let faulty = fault != owl_vm::FaultPlan::none();
+                let run_config = RunConfig {
+                    fault,
+                    ..RunConfig::default()
+                };
+                let cfg = RaceVerifyConfig {
+                    max_schedules,
+                    run_config: run_config.clone(),
+                    ..RaceVerifyConfig::default()
+                };
+                let mut confirmed = 0;
+                for p in owl_corpus::all_programs() {
+                    let reports = annotated_reports(&p, runs_per_input, &run_config);
+                    let verifier = RaceVerifier::new(&p.module, cfg.clone());
+                    let input = &p.workloads[0];
+                    let unbound = input.clone().with_label("not the probed input");
+                    let (mut attempts, mut executed) = (0, 0);
+                    for report in &reports {
+                        let before = verifier.executed_attempts();
+                        let v = verifier.verify(p.entry, input, report);
+                        executed += verifier.executed_attempts() - before;
+                        attempts += v.attempts;
+                        let what = format!(
+                            "{} report on {:?}, {max_schedules} schedules, faults {faulty}",
+                            p.name, report.global_name
+                        );
+                        if faulty {
+                            let before = verifier.executed_attempts();
+                            let every = verifier.verify(p.entry, &unbound, report);
+                            let ran = verifier.executed_attempts() - before;
+                            assert_eq!(ran, every.attempts, "{what}");
+                            assert_eq!(v.injected_faults, every.injected_faults, "{what}");
+                        }
+                        let fresh = fresh_vm_per_attempt(&verifier, p.entry, input, report);
+                        assert_eq!((v.verdict, v.attempts, v.hints, v.outcome), fresh, "{what}");
+                        confirmed += usize::from(v.confirmed);
+                    }
+                    if p.name == "Linux" {
+                        assert!(
+                            executed * 2 < attempts,
+                            "Linux executed {executed} of {attempts} attempts"
+                        );
+                    }
+                }
+                assert!(confirmed > 0, "the corpus confirms some races");
+            }
+        }
     }
 
     #[test]

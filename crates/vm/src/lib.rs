@@ -66,4 +66,6 @@ pub use input::ProgramInput;
 pub use mem::Memory;
 pub use sched::{PctScheduler, RandomScheduler, ReplayScheduler, RoundRobin, Scheduler};
 pub use violation::{SecurityEvent, SecurityRecord, Violation, ViolationRecord};
-pub use vm::{DeadlockInfo, ExecOutcome, ExitStatus, RunConfig, Snapshot, Vm, WaitInfo, WaitReason};
+pub use vm::{
+    DeadlockInfo, ExecOutcome, ExitStatus, ReachSet, RunConfig, Snapshot, Vm, WaitInfo, WaitReason,
+};

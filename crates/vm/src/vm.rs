@@ -280,6 +280,69 @@ impl Snapshot {
     }
 }
 
+/// The instruction sites that at least one thread arrived at during
+/// one execution, recorded by [`Vm::run_recording_reach`]. An arrival
+/// is a fetch at the breakpoint check, so a site that blocked or was
+/// retried counts, and a site no thread fetched does not.
+///
+/// A dense bitset over the module's instructions: bit
+/// `start[f] + i` stands for instruction `i` of function `f`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ReachSet {
+    /// Prefix sums of the function lengths, one entry per function
+    /// plus the total.
+    start: Vec<usize>,
+    bits: Vec<u64>,
+}
+
+impl ReachSet {
+    /// The empty set over `module`'s instructions.
+    fn new(module: &Module) -> Self {
+        let mut start = Vec::with_capacity(module.funcs.len() + 1);
+        let mut total = 0;
+        for f in &module.funcs {
+            start.push(total);
+            total += f.insts.len();
+        }
+        start.push(total);
+        ReachSet {
+            start,
+            bits: vec![0; total.div_ceil(64)],
+        }
+    }
+
+    /// The bit index of `site`, if it names an instruction of the
+    /// module.
+    fn slot(&self, site: InstRef) -> Option<usize> {
+        let f = site.func.index();
+        let (lo, hi) = (*self.start.get(f)?, *self.start.get(f + 1)?);
+        let i = lo + site.inst.index();
+        (i < hi).then_some(i)
+    }
+
+    fn insert(&mut self, site: InstRef) {
+        if let Some(i) = self.slot(site) {
+            self.bits[i / 64] |= 1 << (i % 64);
+        }
+    }
+
+    /// Whether some thread arrived at `site`.
+    pub fn contains(&self, site: InstRef) -> bool {
+        self.slot(site)
+            .is_some_and(|i| self.bits[i / 64] & (1 << (i % 64)) != 0)
+    }
+
+    /// Number of distinct sites reached.
+    pub fn len(&self) -> usize {
+        self.bits.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Whether no site was reached.
+    pub fn is_empty(&self) -> bool {
+        self.bits.iter().all(|&w| w == 0)
+    }
+}
+
 /// Where [`Vm::run_loop_inner`] may leave the interpreter loop early.
 enum Pause {
     /// Run to termination.
@@ -307,6 +370,9 @@ pub struct Vm<'m> {
     elided: Option<Arc<HashSet<InstRef>>>,
     step: u64,
     outcome: ExecOutcome,
+    /// Sites fetched so far, when [`Vm::run_recording_reach`] asked for
+    /// them. Never part of a [`Snapshot`].
+    reach: Option<ReachSet>,
 }
 
 impl std::fmt::Debug for Vm<'_> {
@@ -371,6 +437,7 @@ impl<'m> Vm<'m> {
                 deadlock: None,
                 injected_faults: vec![],
             },
+            reach: None,
         }
     }
 
@@ -393,6 +460,27 @@ impl<'m> Vm<'m> {
     pub fn run(mut self, sched: &mut dyn Scheduler, sink: &mut dyn TraceSink) -> ExecOutcome {
         self.run_loop_inner(sched, sink, &mut NoController, Pause::Never);
         self.take_outcome()
+    }
+
+    /// Runs to completion like [`Vm::run`] and also returns every
+    /// instruction site a thread arrived at. Recording draws no
+    /// scheduler or fault randomness, so the outcome is the one
+    /// [`Vm::run`] gives.
+    ///
+    /// This is what makes a breakpoint provably inert: a run of the
+    /// same machine and seed with breakpoints armed only at sites
+    /// outside the set never matches one, so it never suspends, never
+    /// consults its controller, never draws a dropped-hit fault, and
+    /// ends with this outcome.
+    pub fn run_recording_reach(
+        mut self,
+        sched: &mut dyn Scheduler,
+        sink: &mut dyn TraceSink,
+    ) -> (ExecOutcome, ReachSet) {
+        self.reach = Some(ReachSet::new(self.module));
+        self.run_loop_inner(sched, sink, &mut NoController, Pause::Never);
+        let reach = self.reach.take().expect("recording was switched on above");
+        (self.take_outcome(), reach)
     }
 
     /// Runs to completion under `controller` (verifier mode).
@@ -492,6 +580,7 @@ impl<'m> Vm<'m> {
             elided: snap.elided,
             step: snap.step,
             outcome: snap.outcome,
+            reach: None,
         }
     }
 
@@ -977,7 +1066,11 @@ impl<'m> Vm<'m> {
         };
         let inst = self.module.inst(site).clone();
 
-        // Breakpoint check (before execution).
+        // Breakpoint check (before execution). Every arrival counts as
+        // reached, including one that skips its breakpoint on resume.
+        if let Some(reach) = &mut self.reach {
+            reach.insert(site);
+        }
         let skip = std::mem::replace(&mut self.threads[tid.index()].skip_bp, false);
         if !skip && self.breakpoints.iter().any(|b| b.matches(site, tid)) {
             // Dropped-hit fault: the controller never hears about this
