@@ -12,12 +12,12 @@
 
 #[cfg(feature = "criterion")]
 use criterion::{criterion_group, criterion_main, Criterion};
-#[cfg(not(feature = "criterion"))]
-use owl_bench::harness::{criterion_group, criterion_main, Criterion};
 use owl::json::Json;
 use owl_bench::harness::metric;
+#[cfg(not(feature = "criterion"))]
+use owl_bench::harness::{criterion_group, criterion_main, Criterion};
 use owl_ir::analysis::ElisionMap;
-use owl_ir::{FuncId, InstRef, ModuleBuilder, Module, Type};
+use owl_ir::{FuncId, InstRef, Module, ModuleBuilder, Type};
 use owl_race::{explore, ExplorerConfig, HbBackend, HbConfig, HbDetector};
 use owl_vm::{ProgramInput, RandomScheduler, RunConfig, TraceEvent, TraceSink, VecSink, Vm};
 use std::collections::HashSet;
@@ -159,7 +159,9 @@ fn bench_detector_replay(c: &mut Criterion) {
     group.bench_function("replay_reference", |b| {
         b.iter(|| replay(&events, HbBackend::Reference))
     });
-    group.bench_function("replay_epoch", |b| b.iter(|| replay(&events, HbBackend::Epoch)));
+    group.bench_function("replay_epoch", |b| {
+        b.iter(|| replay(&events, HbBackend::Epoch))
+    });
     group.bench_function("replay_epoch_elide", |b| {
         b.iter(|| replay(&marked, HbBackend::Epoch))
     });
@@ -223,8 +225,14 @@ fn bench_detector_replay(c: &mut Criterion) {
     let syncp_secs = mean_predictive_secs(HbBackend::SyncPreserving);
     let syncrev_secs = mean_predictive_secs(HbBackend::SyncReversal);
     metric("events_per_sec_syncp", Json::UInt(throughput(syncp_secs)));
-    metric("events_per_sec_syncrev", Json::UInt(throughput(syncrev_secs)));
-    metric("syncp_overhead_over_epoch", Json::Float(syncp_secs / epoch_secs));
+    metric(
+        "events_per_sec_syncrev",
+        Json::UInt(throughput(syncrev_secs)),
+    );
+    metric(
+        "syncp_overhead_over_epoch",
+        Json::Float(syncp_secs / epoch_secs),
+    );
     metric(
         "syncrev_overhead_over_epoch",
         Json::Float(syncrev_secs / epoch_secs),
@@ -285,7 +293,8 @@ fn bench_capture_handoff(c: &mut Criterion) {
     let (m, entry) = workload_module(32, 1024);
     let run = |sink: &mut dyn TraceSink| {
         let mut sched = RandomScheduler::new(11);
-        let _ = Vm::new(&m, entry, ProgramInput::empty(), RunConfig::default()).run(&mut sched, sink);
+        let _ =
+            Vm::new(&m, entry, ProgramInput::empty(), RunConfig::default()).run(&mut sched, sink);
     };
 
     let mut group = c.benchmark_group("capture");
@@ -421,8 +430,14 @@ fn bench_fork_prefix(c: &mut Criterion) {
             &format!("explore_scratch_us_{tag}"),
             Json::UInt((scratch_secs * 1e6) as u64),
         );
-        metric(&format!("fork_speedup_{tag}"), Json::Float(scratch_secs / forked_secs));
-        metric(&format!("units_forked_{tag}"), Json::UInt(forked.units_forked));
+        metric(
+            &format!("fork_speedup_{tag}"),
+            Json::Float(scratch_secs / forked_secs),
+        );
+        metric(
+            &format!("units_forked_{tag}"),
+            Json::UInt(forked.units_forked),
+        );
         metric(
             &format!("prefix_steps_saved_{tag}"),
             Json::UInt(forked.prefix_steps_saved),
@@ -431,7 +446,10 @@ fn bench_fork_prefix(c: &mut Criterion) {
             &format!("schedules_deduped_{tag}"),
             Json::UInt(forked.schedules_deduped),
         );
-        metric(&format!("snapshot_bytes_{tag}"), Json::UInt(forked.snapshot_bytes));
+        metric(
+            &format!("snapshot_bytes_{tag}"),
+            Json::UInt(forked.snapshot_bytes),
+        );
 
         steps_total += forked.outcomes.iter().map(|o| o.steps).sum::<u64>();
         saved_total += forked.prefix_steps_saved;
@@ -440,16 +458,33 @@ fn bench_fork_prefix(c: &mut Criterion) {
     }
     group.finish();
 
-    metric("explore_forked_us_total", Json::UInt((forked_total * 1e6) as u64));
-    metric("explore_scratch_us_total", Json::UInt((scratch_total * 1e6) as u64));
-    metric("fork_speedup_total", Json::Float(scratch_total / forked_total));
+    metric(
+        "explore_forked_us_total",
+        Json::UInt((forked_total * 1e6) as u64),
+    );
+    metric(
+        "explore_scratch_us_total",
+        Json::UInt((scratch_total * 1e6) as u64),
+    );
+    metric(
+        "fork_speedup_total",
+        Json::Float(scratch_total / forked_total),
+    );
     metric(
         "prefix_share_ratio",
-        Json::Float(if steps_total == 0 { 0.0 } else { saved_total as f64 / steps_total as f64 }),
+        Json::Float(if steps_total == 0 {
+            0.0
+        } else {
+            saved_total as f64 / steps_total as f64
+        }),
     );
     metric(
         "dedup_ratio",
-        Json::Float(if runs_total == 0 { 0.0 } else { deduped_total as f64 / runs_total as f64 }),
+        Json::Float(if runs_total == 0 {
+            0.0
+        } else {
+            deduped_total as f64 / runs_total as f64
+        }),
     );
 
     // The startup-weighted regime. The corpus models compress each
@@ -464,9 +499,18 @@ fn bench_fork_prefix(c: &mut Criterion) {
     let s_input = [ProgramInput::empty()];
     let forked = explore(&sm, s_entry, &s_input, &forked_cfg);
     let scratch = explore(&sm, s_entry, &s_input, &scratch_cfg);
-    assert_eq!(forked.reports, scratch.reports, "startup sweep: fork changed reports");
-    assert_eq!(forked.outcomes, scratch.outcomes, "startup sweep: fork changed outcomes");
-    assert!(!forked.reports.is_empty(), "startup sweep found no race — bench is inert");
+    assert_eq!(
+        forked.reports, scratch.reports,
+        "startup sweep: fork changed reports"
+    );
+    assert_eq!(
+        forked.outcomes, scratch.outcomes,
+        "startup sweep: fork changed outcomes"
+    );
+    assert!(
+        !forked.reports.is_empty(),
+        "startup sweep found no race — bench is inert"
+    );
     let mut group = c.benchmark_group("fork");
     group.bench_function("explore_forked_startup", |b| {
         b.iter(|| explore(&sm, s_entry, &s_input, &forked_cfg))
@@ -486,16 +530,35 @@ fn bench_fork_prefix(c: &mut Criterion) {
     };
     let forked_secs = best(&forked_cfg);
     let scratch_secs = best(&scratch_cfg);
-    metric("explore_forked_us_startup", Json::UInt((forked_secs * 1e6) as u64));
-    metric("explore_scratch_us_startup", Json::UInt((scratch_secs * 1e6) as u64));
-    metric("fork_speedup_startup", Json::Float(scratch_secs / forked_secs));
-    metric("prefix_steps_saved_startup", Json::UInt(forked.prefix_steps_saved));
-    metric("schedules_deduped_startup", Json::UInt(forked.schedules_deduped));
+    metric(
+        "explore_forked_us_startup",
+        Json::UInt((forked_secs * 1e6) as u64),
+    );
+    metric(
+        "explore_scratch_us_startup",
+        Json::UInt((scratch_secs * 1e6) as u64),
+    );
+    metric(
+        "fork_speedup_startup",
+        Json::Float(scratch_secs / forked_secs),
+    );
+    metric(
+        "prefix_steps_saved_startup",
+        Json::UInt(forked.prefix_steps_saved),
+    );
+    metric(
+        "schedules_deduped_startup",
+        Json::UInt(forked.schedules_deduped),
+    );
     metric("snapshot_bytes_startup", Json::UInt(forked.snapshot_bytes));
     let steps: u64 = forked.outcomes.iter().map(|o| o.steps).sum();
     metric(
         "prefix_share_ratio_startup",
-        Json::Float(if steps == 0 { 0.0 } else { forked.prefix_steps_saved as f64 / steps as f64 }),
+        Json::Float(if steps == 0 {
+            0.0
+        } else {
+            forked.prefix_steps_saved as f64 / steps as f64
+        }),
     );
 }
 
@@ -597,8 +660,7 @@ fn bench_seed_retirement(_c: &mut Criterion) {
                     ..ExplorerConfig::default()
                 };
                 let r = explore(&p.module, p.entry, &p.workloads, &cfg);
-                let found: HashSet<_> =
-                    r.reports.iter().map(|rep| (rep.addr, rep.key())).collect();
+                let found: HashSet<_> = r.reports.iter().map(|rep| (rep.addr, rep.key())).collect();
                 for race in target.intersection(&found) {
                     cost.entry(*race).or_insert(runs);
                 }
@@ -611,7 +673,10 @@ fn bench_seed_retirement(_c: &mut Criterion) {
                 }
             }
             let attacks_at = attacks_at.unwrap_or_else(|| {
-                panic!("{} ({name}): attacks not covered within {FULL_BUDGET} schedules", p.name)
+                panic!(
+                    "{} ({name}): attacks not covered within {FULL_BUDGET} schedules",
+                    p.name
+                )
             });
             let seed_cost: u64 = target
                 .iter()
@@ -634,7 +699,10 @@ fn bench_seed_retirement(_c: &mut Criterion) {
             &format!("schedules_to_coverage_total_{name}"),
             Json::UInt(attack_totals[slot]),
         );
-        metric(&format!("seed_cost_total_{name}"), Json::UInt(cost_totals[slot]));
+        metric(
+            &format!("seed_cost_total_{name}"),
+            Json::UInt(cost_totals[slot]),
+        );
         if name != "epoch" {
             metric(
                 &format!("seeds_retired_{name}"),

@@ -25,6 +25,9 @@ fn main() {
         }
         let distinct: Vec<usize> = per_input.iter().map(|s| s.len()).collect();
         let steps: u64 = r.outcomes.iter().map(|o| o.steps).sum();
-        println!("{}: runs={} steps={} distinct/input: {:?}", p.name, r.runs, steps, distinct);
+        println!(
+            "{}: runs={} steps={} distinct/input: {:?}",
+            p.name, r.runs, steps, distinct
+        );
     }
 }

@@ -6,7 +6,10 @@
 use std::time::Instant;
 
 fn main() {
-    let reps: u32 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(5);
+    let reps: u32 = std::env::args()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(5);
     let mut tot_f = 0u128;
     let mut tot_s = 0u128;
     for p in owl_corpus::all_programs() {
@@ -14,7 +17,10 @@ fn main() {
             runs_per_input: 32,
             ..owl_race::ExplorerConfig::default()
         };
-        let scratch_cfg = owl_race::ExplorerConfig { fork: false, ..forked_cfg.clone() };
+        let scratch_cfg = owl_race::ExplorerConfig {
+            fork: false,
+            ..forked_cfg.clone()
+        };
         // Warm-up + correctness guard.
         let rf = owl_race::explore(&p.module, p.entry, &p.workloads, &forked_cfg);
         let rs = owl_race::explore(&p.module, p.entry, &p.workloads, &scratch_cfg);

@@ -44,7 +44,13 @@ const EXIT_QUARANTINED: u8 = 5;
 fn backend_help() -> String {
     owl_race::HbBackend::ALL
         .iter()
-        .map(|b| format!("                            `{}` — {}\n", b.name(), b.summary()))
+        .map(|b| {
+            format!(
+                "                            `{}` — {}\n",
+                b.name(),
+                b.summary()
+            )
+        })
         .collect()
 }
 
@@ -206,8 +212,7 @@ fn config(args: &[String]) -> Result<OwlConfig, String> {
         })?;
     }
     if let Some(raw) = flag_value(args, "--max-trace-mem")? {
-        let bytes =
-            parse_mem_size(raw).map_err(|msg| format!("--max-trace-mem: {msg}"))?;
+        let bytes = parse_mem_size(raw).map_err(|msg| format!("--max-trace-mem: {msg}"))?;
         cfg.detect.stream.max_trace_mem = Some(bytes);
     }
     if args.iter().any(|a| a == "--no-elide") {
@@ -578,16 +583,10 @@ fn main() -> ExitCode {
                                         "journal_discarded_records",
                                         Json::UInt(outcome.recovery.discarded_records),
                                     ),
-                                    (
-                                        "valid_records",
-                                        Json::UInt(outcome.summary.records),
-                                    ),
+                                    ("valid_records", Json::UInt(outcome.summary.records)),
                                 ]),
                             ));
-                            pairs.push((
-                                "health".to_string(),
-                                encode_health(&outcome.health),
-                            ));
+                            pairs.push(("health".to_string(), encode_health(&outcome.health)));
                         }
                         println!("{}", doc.to_json_string());
                     } else {
@@ -786,10 +785,7 @@ fn main() -> ExitCode {
                             "elision_sites_read_only",
                             Json::UInt(s.elision_sites_read_only),
                         ),
-                        (
-                            "elision_events_elided",
-                            Json::UInt(s.elision_events_elided),
-                        ),
+                        ("elision_events_elided", Json::UInt(s.elision_events_elided)),
                         ("elision_solve_us", Json::UInt(s.elision_solve_us)),
                         ("shadow_cells_gced", Json::UInt(s.shadow_cells_gced)),
                         (

@@ -41,12 +41,7 @@ pub enum Json {
 impl Json {
     /// Builds an object from `(key, value)` pairs.
     pub fn obj(pairs: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
-        Json::Obj(
-            pairs
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        )
+        Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
     }
 
     /// Builds an object from `(key, value)` pairs with owned keys —
@@ -349,16 +344,14 @@ impl<'a> Parser<'a> {
                                     if !(0xdc00..0xe000).contains(&lo) {
                                         return Err(self.err("invalid low surrogate"));
                                     }
-                                    let cp =
-                                        0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00);
+                                    let cp = 0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00);
                                     char::from_u32(cp)
                                         .ok_or_else(|| self.err("invalid surrogate pair"))?
                                 } else {
                                     return Err(self.err("lone high surrogate"));
                                 }
                             } else {
-                                char::from_u32(hi)
-                                    .ok_or_else(|| self.err("invalid \\u escape"))?
+                                char::from_u32(hi).ok_or_else(|| self.err("invalid \\u escape"))?
                             };
                             out.push(c);
                             continue;
@@ -439,8 +432,8 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number bytes are ASCII");
+        let text =
+            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
         if integral {
             if negative {
                 if let Ok(n) = text.parse::<i64>() {
@@ -493,10 +486,7 @@ mod tests {
         let s = v.to_json_string();
         assert_eq!(parse(&s).unwrap(), v);
         // Standard escapes from other writers parse too.
-        assert_eq!(
-            parse(r#""A😀""#).unwrap(),
-            Json::str("A\u{1F600}")
-        );
+        assert_eq!(parse(r#""A😀""#).unwrap(), Json::str("A\u{1F600}"));
     }
 
     #[test]

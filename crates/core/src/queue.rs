@@ -181,10 +181,7 @@ impl<T> DeadlineQueue<T> {
                     }
                     // A running task may still re-enqueue, or (before
                     // close) new work may still arrive.
-                    q = self
-                        .idle
-                        .wait(q)
-                        .unwrap_or_else(PoisonError::into_inner);
+                    q = self.idle.wait(q).unwrap_or_else(PoisonError::into_inner);
                 }
             }
         }

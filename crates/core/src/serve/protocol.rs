@@ -288,10 +288,9 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 /// Encodes a response as one wire line (no trailing newline).
 pub fn encode_response(resp: &Response) -> String {
     let v = match resp {
-        Response::Accepted { id } => Json::obj([
-            ("resp", Json::str("accepted")),
-            ("id", Json::UInt(*id)),
-        ]),
+        Response::Accepted { id } => {
+            Json::obj([("resp", Json::str("accepted")), ("id", Json::UInt(*id))])
+        }
         Response::Rejected { reason } => Json::obj([
             ("resp", Json::str("rejected")),
             ("reason", Json::str(reason.as_str())),
@@ -346,10 +345,7 @@ pub fn encode_response(resp: &Response) -> String {
                 "elision_sites_read_only",
                 Json::UInt(s.elision_sites_read_only),
             ),
-            (
-                "elision_events_elided",
-                Json::UInt(s.elision_events_elided),
-            ),
+            ("elision_events_elided", Json::UInt(s.elision_events_elided)),
             ("elision_solve_us", Json::UInt(s.elision_solve_us)),
             ("shadow_cells_gced", Json::UInt(s.shadow_cells_gced)),
             (
@@ -436,10 +432,7 @@ pub fn parse_response(line: &str) -> Result<Response, String> {
                 queue_depth: u("queue_depth"),
                 active: u("active"),
                 inflight_bytes: u("inflight_bytes"),
-                draining: v
-                    .get("draining")
-                    .and_then(|j| j.as_bool())
-                    .unwrap_or(false),
+                draining: v.get("draining").and_then(|j| j.as_bool()).unwrap_or(false),
                 executed: u("executed"),
                 cache_hits: u("cache_hits"),
                 shed_queue_full: u("shed_queue_full"),

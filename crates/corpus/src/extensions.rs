@@ -827,7 +827,12 @@ mod tests {
     #[test]
     fn expected_deps_are_well_formed() {
         let mut programs = crate::all_programs();
-        programs.extend([bank_atomicity(), kernel_double_fetch(), heap_relay(), cache_relay()]);
+        programs.extend([
+            bank_atomicity(),
+            kernel_double_fetch(),
+            heap_relay(),
+            cache_relay(),
+        ]);
         for p in &programs {
             for a in &p.attacks {
                 let dep = a.expected_dep.expect("every corpus attack pins a dep kind");

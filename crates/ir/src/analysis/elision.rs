@@ -321,9 +321,7 @@ impl<'a> Analysis<'a> {
                 };
                 let class = if cls.iter().all(|c| *c == ElisionClass::ThreadLocal) {
                     ElisionClass::ThreadLocal
-                } else if !a.write
-                    && cls.iter().all(|c| *c != ElisionClass::LockDominated)
-                {
+                } else if !a.write && cls.iter().all(|c| *c != ElisionClass::LockDominated) {
                     ElisionClass::ReadOnlyShared
                 } else {
                     debug_assert!(a.write || cls.contains(&ElisionClass::LockDominated));
@@ -724,9 +722,7 @@ impl<'a> LocksetAnalysis<'a> {
                 }
             }
             Inst::Call { .. } => {
-                if let Some((_, targets)) = self.a.calls[fid.index()]
-                    .iter()
-                    .find(|(c, _)| *c == i)
+                if let Some((_, targets)) = self.a.calls[fid.index()].iter().find(|(c, _)| *c == i)
                 {
                     for t in targets {
                         match &self.released[t.index()] {
@@ -839,8 +835,15 @@ mod tests {
         }
         let (m, main) = finish(mb);
         let map = ElisionMap::analyze(&m, main);
-        for site in access_sites(&m, "w").into_iter().chain(access_sites(&m, "main")) {
-            assert_eq!(map.class_of(site), Some(ElisionClass::ThreadLocal), "{site}");
+        for site in access_sites(&m, "w")
+            .into_iter()
+            .chain(access_sites(&m, "main"))
+        {
+            assert_eq!(
+                map.class_of(site),
+                Some(ElisionClass::ThreadLocal),
+                "{site}"
+            );
         }
         assert_eq!(map.stats().sites_elided, 3);
     }
@@ -975,8 +978,15 @@ mod tests {
         }
         let (m, main) = finish(mb);
         let map = ElisionMap::analyze(&m, main);
-        for site in access_sites(&m, "w").into_iter().chain(access_sites(&m, "main")) {
-            assert_eq!(map.class_of(site), Some(ElisionClass::ReadOnlyShared), "{site}");
+        for site in access_sites(&m, "w")
+            .into_iter()
+            .chain(access_sites(&m, "main"))
+        {
+            assert_eq!(
+                map.class_of(site),
+                Some(ElisionClass::ReadOnlyShared),
+                "{site}"
+            );
         }
     }
 
@@ -1004,7 +1014,11 @@ mod tests {
         let (m, main) = finish(mb);
         let map = ElisionMap::analyze(&m, main);
         for site in access_sites(&m, "w") {
-            assert_eq!(map.class_of(site), Some(ElisionClass::ThreadLocal), "{site}");
+            assert_eq!(
+                map.class_of(site),
+                Some(ElisionClass::ThreadLocal),
+                "{site}"
+            );
         }
     }
 

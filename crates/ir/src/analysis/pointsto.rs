@@ -318,10 +318,8 @@ impl PointsTo {
                             }
                         }
                         Callee::Indirect(p) => {
-                            let arg_nodes: Vec<Option<usize>> = args
-                                .iter()
-                                .map(|a| s.operand_node(fid, *a))
-                                .collect();
+                            let arg_nodes: Vec<Option<usize>> =
+                                args.iter().map(|a| s.operand_node(fid, *a)).collect();
                             s.indirect.entry(iref).or_default();
                             if let Some(c) = s.operand_node(fid, *p) {
                                 s.constraints += 1;

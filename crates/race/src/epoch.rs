@@ -570,7 +570,9 @@ mod tests {
         // conflicts.
         let c2 = clock(&[9]);
         for a in 0..500u64 {
-            assert!(s.read(a, ThreadId(0), &c2, site(), &st, 3, Type::I64).is_none());
+            assert!(s
+                .read(a, ThreadId(0), &c2, site(), &st, 3, Type::I64)
+                .is_none());
             assert_eq!(s.conflict_count(), 0);
         }
         assert!(s.len >= 500);
@@ -630,8 +632,24 @@ mod tests {
         let mut s = EpochShadow::default();
         let st = stack();
         // Concurrent reads by threads 0 and 1 promote to a list.
-        let _ = s.read(0x10, ThreadId(0), &clock(&[1, 0]), site(), &st, 0, Type::I64);
-        let _ = s.read(0x10, ThreadId(1), &clock(&[0, 1]), site(), &st, 0, Type::I64);
+        let _ = s.read(
+            0x10,
+            ThreadId(0),
+            &clock(&[1, 0]),
+            site(),
+            &st,
+            0,
+            Type::I64,
+        );
+        let _ = s.read(
+            0x10,
+            ThreadId(1),
+            &clock(&[0, 1]),
+            site(),
+            &st,
+            0,
+            Type::I64,
+        );
         assert_eq!(s.stats().read_promotions, 1);
         // min knows thread 0's read but not thread 1's: cell survives
         // (no full reclaim), but nothing is miscounted.

@@ -438,12 +438,7 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// Folds one realized pick into an FNV-1a schedule signature.
 fn fnv1a_pick(hash: u64, chosen: ThreadId, step: u64) -> u64 {
     let mut h = hash;
-    for b in chosen
-        .0
-        .to_le_bytes()
-        .into_iter()
-        .chain(step.to_le_bytes())
-    {
+    for b in chosen.0.to_le_bytes().into_iter().chain(step.to_le_bytes()) {
         h ^= u64::from(b);
         h = h.wrapping_mul(FNV_PRIME);
     }
@@ -623,22 +618,51 @@ impl TraceTrie {
         let t_new = self.traces.len();
         if self.nodes.is_empty() {
             let mut root = Self::node_from(&calls[0]);
-            root.edges.push((calls[0].chosen, TrieChild::Tail { trace: t_new, from: 1 }));
+            root.edges.push((
+                calls[0].chosen,
+                TrieChild::Tail {
+                    trace: t_new,
+                    from: 1,
+                },
+            ));
             self.nodes.push(root);
-            self.traces.push(StoredTrace { calls, signature: trace.signature, slot });
+            self.traces.push(StoredTrace {
+                calls,
+                signature: trace.signature,
+                slot,
+            });
             return;
         }
         let mut node = 0;
         let mut d = 0usize;
         loop {
-            debug_assert!(d < calls.len(), "complete trace is a strict prefix of another");
-            debug_assert_eq!(self.nodes[node].runnable, calls[d].runnable, "trie context diverged");
-            debug_assert_eq!(self.nodes[node].step, calls[d].step, "trie context diverged");
+            debug_assert!(
+                d < calls.len(),
+                "complete trace is a strict prefix of another"
+            );
+            debug_assert_eq!(
+                self.nodes[node].runnable, calls[d].runnable,
+                "trie context diverged"
+            );
+            debug_assert_eq!(
+                self.nodes[node].step, calls[d].step,
+                "trie context diverged"
+            );
             let chosen = calls[d].chosen;
-            let Some(e) = self.nodes[node].edges.iter().position(|(c, _)| *c == chosen) else {
+            let Some(e) = self.nodes[node]
+                .edges
+                .iter()
+                .position(|(c, _)| *c == chosen)
+            else {
                 // First trace to make this choice here: hang the whole
                 // remainder off one compressed edge.
-                self.nodes[node].edges.push((chosen, TrieChild::Tail { trace: t_new, from: d + 1 }));
+                self.nodes[node].edges.push((
+                    chosen,
+                    TrieChild::Tail {
+                        trace: t_new,
+                        from: d + 1,
+                    },
+                ));
                 break;
             };
             match self.nodes[node].edges[e].1 {
@@ -668,7 +692,8 @@ impl TraceTrie {
                     let mut first_new = 0usize;
                     for m in 0..=div {
                         let n = self.nodes.len();
-                        self.nodes.push(Self::node_from(&self.traces[t_old].calls[from + m]));
+                        self.nodes
+                            .push(Self::node_from(&self.traces[t_old].calls[from + m]));
                         match prev {
                             Some(p) => {
                                 let c = self.traces[t_old].calls[from + m - 1].chosen;
@@ -681,18 +706,30 @@ impl TraceTrie {
                     let branch = prev.expect("at least the branch node is materialized");
                     let old_chosen = self.traces[t_old].calls[from + div].chosen;
                     let new_chosen = calls[d + 1 + div].chosen;
-                    self.nodes[branch]
-                        .edges
-                        .push((old_chosen, TrieChild::Tail { trace: t_old, from: from + div + 1 }));
-                    self.nodes[branch]
-                        .edges
-                        .push((new_chosen, TrieChild::Tail { trace: t_new, from: d + 1 + div + 1 }));
+                    self.nodes[branch].edges.push((
+                        old_chosen,
+                        TrieChild::Tail {
+                            trace: t_old,
+                            from: from + div + 1,
+                        },
+                    ));
+                    self.nodes[branch].edges.push((
+                        new_chosen,
+                        TrieChild::Tail {
+                            trace: t_new,
+                            from: d + 1 + div + 1,
+                        },
+                    ));
                     self.nodes[node].edges[e].1 = TrieChild::Node(first_new);
                     break;
                 }
             }
         }
-        self.traces.push(StoredTrace { calls, signature: trace.signature, slot });
+        self.traces.push(StoredTrace {
+            calls,
+            signature: trace.signature,
+            slot,
+        });
     }
 
     /// Walks `sched` through the trie. `Some(slot)` means the
@@ -852,29 +889,29 @@ pub fn explore_with_deadline(
     });
     let slots: Vec<Mutex<Option<UnitOutput>>> = units.iter().map(|_| Mutex::new(None)).collect();
     if cfg.fork {
-        explore_forked(module, entry, inputs, cfg, deadline, start, &units, &claim, &slots);
+        explore_forked(
+            module, entry, inputs, cfg, deadline, start, &units, &claim, &slots,
+        );
     } else {
-        let worker = || {
-            loop {
-                let i = {
-                    let mut c = claim.lock().unwrap_or_else(PoisonError::into_inner);
-                    if c.next >= units.len() {
+        let worker = || loop {
+            let i = {
+                let mut c = claim.lock().unwrap_or_else(PoisonError::into_inner);
+                if c.next >= units.len() {
+                    break;
+                }
+                if let Some(d) = deadline {
+                    if c.next > 0 && start.elapsed() >= d {
+                        c.deadline_hit = true;
                         break;
                     }
-                    if let Some(d) = deadline {
-                        if c.next > 0 && start.elapsed() >= d {
-                            c.deadline_hit = true;
-                            break;
-                        }
-                    }
-                    let i = c.next;
-                    c.next += 1;
-                    i
-                };
-                let (input_idx, k) = units[i];
-                let out = run_unit(module, entry, &inputs[input_idx], cfg.base_seed + k, cfg);
-                *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
-            }
+                }
+                let i = c.next;
+                c.next += 1;
+                i
+            };
+            let (input_idx, k) = units[i];
+            let out = run_unit(module, entry, &inputs[input_idx], cfg.base_seed + k, cfg);
+            *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
         };
         let workers = cfg.workers.max(1).min(units.len().max(1));
         if workers <= 1 {
@@ -1089,7 +1126,11 @@ fn explore_forked(
                         // single pick, and the walk is bounded by the
                         // longest recorded suffix, not by the number
                         // of stored traces.
-                        let probed = if dedup_on { trie.probe(sk.as_mut()) } else { None };
+                        let probed = if dedup_on {
+                            trie.probe(sk.as_mut())
+                        } else {
+                            None
+                        };
                         let out = match probed {
                             Some(slot) => {
                                 misses = 0;

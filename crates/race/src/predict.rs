@@ -378,9 +378,7 @@ fn access_of(e: &PEvent) -> Access {
 fn sync_obj(kind: &PKind) -> Option<SyncObj> {
     match *kind {
         PKind::Lock { addr } | PKind::Unlock { addr } => Some(SyncObj::LockAddr(addr)),
-        PKind::AtomicRead { addr } | PKind::AtomicWrite { addr } => {
-            Some(SyncObj::AtomicAddr(addr))
-        }
+        PKind::AtomicRead { addr } | PKind::AtomicWrite { addr } => Some(SyncObj::AtomicAddr(addr)),
         _ => None,
     }
 }
@@ -699,7 +697,13 @@ fn schedule(
 /// verifies it is a correct reordering ending in the co-enabled
 /// conflicting pair. Shares no state with the scheduler — this is the
 /// gate the soundness contract names.
-fn validate_witness(events: &[PEvent], idx: &TraceIndex, order: &[usize], e1: usize, e2: usize) -> bool {
+fn validate_witness(
+    events: &[PEvent],
+    idx: &TraceIndex,
+    order: &[usize],
+    e1: usize,
+    e2: usize,
+) -> bool {
     let n = order.len();
     if n < 2 || order[n - 2] != e1 || order[n - 1] != e2 {
         return false;
@@ -954,8 +958,24 @@ mod tests {
                     ty: Type::I64,
                 },
             ),
-            ev(2, 2, 1, PKind::Write { addr: X + 1, value: 1 }),
-            ev(0, 0, 2, PKind::Write { addr: X + 1, value: 2 }),
+            ev(
+                2,
+                2,
+                1,
+                PKind::Write {
+                    addr: X + 1,
+                    value: 1,
+                },
+            ),
+            ev(
+                0,
+                0,
+                2,
+                PKind::Write {
+                    addr: X + 1,
+                    value: 2,
+                },
+            ),
         ];
         let idx = TraceIndex::build(&trace);
         // Candidate: (T2's write at 4, main's write at 5) on X+1. The
@@ -964,8 +984,8 @@ mod tests {
         let set = closure(&trace, &idx, 4, 5).expect("co-enablable");
         assert!(set.contains(&3), "PO pred of endpoint in closure");
         assert!(set.contains(&2), "observed writer pulled in via RF");
-        let order = schedule(&trace, &idx, &set, 4, 5, true, Strategy::LowestIndex)
-            .expect("schedulable");
+        let order =
+            schedule(&trace, &idx, &set, 4, 5, true, Strategy::LowestIndex).expect("schedulable");
         assert!(validate_witness(&trace, &idx, &order, 4, 5));
         // The validator rejects a witness whose read sees the wrong
         // writer: drop T1's write from the order.
@@ -1020,7 +1040,15 @@ mod tests {
         let trace = vec![
             ev(0, 0, 0, PKind::Fork { child: ThreadId(1) }),
             ev(0, 0, 1, PKind::Fork { child: ThreadId(2) }),
-            ev(1, 1, 0, PKind::Write { addr: X + 9, value: 3 }),
+            ev(
+                1,
+                1,
+                0,
+                PKind::Write {
+                    addr: X + 9,
+                    value: 3,
+                },
+            ),
             ev(0, 0, 2, PKind::Join { child: ThreadId(1) }),
             ev(0, 0, 3, PKind::Write { addr: X, value: 1 }),
             ev(2, 2, 0, PKind::Write { addr: X, value: 2 }),
@@ -1029,8 +1057,8 @@ mod tests {
         let set = closure(&trace, &idx, 4, 5).expect("co-enablable");
         assert!(set.contains(&2), "child's events pulled in by the join");
         assert!(set.contains(&3));
-        let order = schedule(&trace, &idx, &set, 4, 5, true, Strategy::LowestIndex)
-            .expect("schedulable");
+        let order =
+            schedule(&trace, &idx, &set, 4, 5, true, Strategy::LowestIndex).expect("schedulable");
         assert!(validate_witness(&trace, &idx, &order, 4, 5));
     }
 

@@ -165,7 +165,10 @@ fn run_json_carries_every_health_counter() {
     let (_, keys) = distinct_health();
     let out = run_ok(&["run", "SSDB", "--quick", "--json", "--hb-backend", "syncp"]);
     for (key, _) in keys {
-        assert!(out.contains(&format!("\"{key}\":")), "run --json dropped `{key}`:\n{out}");
+        assert!(
+            out.contains(&format!("\"{key}\":")),
+            "run --json dropped `{key}`:\n{out}"
+        );
     }
 }
 
@@ -202,7 +205,10 @@ fn campaign_json_and_metrics_carry_every_health_counter() {
         "schedules_deduped",
         "snapshot_bytes",
     ] {
-        assert!(bench.contains(key), "BENCH_campaign.json dropped `{key}`:\n{bench}");
+        assert!(
+            bench.contains(key),
+            "BENCH_campaign.json dropped `{key}`:\n{bench}"
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&metrics);
@@ -282,7 +288,10 @@ fn serve_status_carries_predict_counters_end_to_end() {
         stream.write_all(line.as_bytes()).expect("write");
         loop {
             let mut resp = String::new();
-            assert!(reader.read_line(&mut resp).expect("read") > 0, "daemon died");
+            assert!(
+                reader.read_line(&mut resp).expect("read") > 0,
+                "daemon died"
+            );
             match parse_response(&resp).expect("parseable") {
                 Response::Accepted { .. } => continue,
                 terminal => return terminal,
@@ -308,8 +317,14 @@ fn serve_status_carries_predict_counters_end_to_end() {
     };
     assert_eq!(status.predict_candidates, expected.predict_candidates);
     assert_eq!(status.predict_witnessed, expected.predict_witnessed);
-    assert_eq!(status.predict_witness_rejected, expected.predict_witness_rejected);
-    assert_eq!(status.predict_reversal_races, expected.predict_reversal_races);
+    assert_eq!(
+        status.predict_witness_rejected,
+        expected.predict_witness_rejected
+    );
+    assert_eq!(
+        status.predict_reversal_races,
+        expected.predict_reversal_races
+    );
     assert!(
         status.predict_candidates > 0,
         "SSDB under syncp produced no prediction candidates — the \

@@ -178,7 +178,11 @@ fn overload_burst_sheds_typed_and_drains_gracefully() {
             other => panic!("unexpected terminal response: {other:?}"),
         }
     }
-    assert_eq!(results + rejected, 32, "every submit got exactly one answer");
+    assert_eq!(
+        results + rejected,
+        32,
+        "every submit got exactly one answer"
+    );
     assert!(rejected > 0, "a 32-burst against a 4-window must shed");
     assert!(results > 0, "admitted work still completes under overload");
 
@@ -238,7 +242,10 @@ fn kill_mid_commit_then_restart_serves_duplicates_from_cache() {
         "JournalKilled is re-raised with its original payload"
     );
     let store_bytes = std::fs::read(dir.join("store.jsonl")).expect("store file");
-    assert!(!store_bytes.is_empty(), "the killed commit was fsync'd first");
+    assert!(
+        !store_bytes.is_empty(),
+        "the killed commit was fsync'd first"
+    );
 
     // Second lifetime: recovery finds the fsync'd record byte-intact
     // and the duplicate submission is answered from cache without
@@ -286,7 +293,9 @@ fn kill_mid_commit_then_restart_serves_duplicates_from_cache() {
 
     let spans = recorder.spans();
     assert!(
-        spans.iter().any(|s| s.program == "SSDB" && s.name == "detect"),
+        spans
+            .iter()
+            .any(|s| s.program == "SSDB" && s.name == "detect"),
         "the executed program ran its stages"
     );
     assert!(
@@ -360,8 +369,7 @@ fn torn_store_tail_truncates_at_restart_and_is_reported() {
     assert!(report.recovery.recovered());
     assert_eq!(report.stored, 2, "the store is whole again");
     assert_eq!(
-        report.health.journal_discarded_bytes,
-        report.recovery.discarded_bytes,
+        report.health.journal_discarded_bytes, report.recovery.discarded_bytes,
         "recovery counters flow into the consolidated health"
     );
     let _ = std::fs::remove_dir_all(&dir);
